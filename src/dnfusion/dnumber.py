@@ -171,8 +171,8 @@ class DNumber:
         """Total assigned mass; below 1 means the information is incomplete."""
         return math.fsum(self._masses.values())
 
-    def is_complete(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return self.completeness() >= 1.0 - tol
+    def is_complete(self) -> bool:
+        return self.completeness() >= 1.0 - COMPLETENESS_TOL
 
     def normalize_incomplete(self) -> DNumber:
         """Route any completeness deficit to total ignorance.
@@ -214,8 +214,11 @@ class DNumber:
         """Conflict-normalized combination of two complete D numbers.
 
         The mass of A sums the products d1(B) * d2(C) over pairs whose label
-        sets intersect in exactly A, normalized by 1 - k where k is the product
-        mass on empty intersections. Raises TotalConflict when 1 - k <= 1e-12.
+        sets intersect in exactly A; products on empty intersections are
+        conflict and are dropped. Raises TotalConflict when the surviving mass
+        is <= MASS_FLOOR. Otherwise sums below MASS_FLOOR times the surviving
+        mass are dropped as dust, and the rest is normalized by the mass it
+        keeps, so the result is complete.
         """
         if self._frame != other._frame:
             raise FrameMismatch(
@@ -227,23 +230,20 @@ class DNumber:
                 "combination requires complete inputs; normalize or discount first"
             )
         buckets: dict[FocalElement, list[float]] = {}
-        conflict: list[float] = []
         for left, left_mass in self._masses.items():
             for right, right_mass in other._masses.items():
-                product = left_mass * right_mass
                 meet = left.intersection(right)
-                if meet is None:
-                    conflict.append(product)
-                else:
-                    buckets.setdefault(meet, []).append(product)
-        k = math.fsum(conflict)
-        remaining = 1.0 - k
-        if remaining <= 1e-12:
-            raise TotalConflict(f"conflict k = {k:.12g} leaves no mass to normalize")
-        combined = {
-            focal: math.fsum(products) / remaining for focal, products in buckets.items()
-        }
-        return DNumber(self._frame, combined)
+                if meet is not None:
+                    buckets.setdefault(meet, []).append(left_mass * right_mass)
+        sums = {focal: math.fsum(products) for focal, products in buckets.items()}
+        surviving = math.fsum(sums.values())
+        if surviving <= MASS_FLOOR:
+            raise TotalConflict(
+                f"conflict leaves surviving mass {surviving:.12g}, nothing to normalize"
+            )
+        kept = {focal: mass for focal, mass in sums.items() if mass >= MASS_FLOOR * surviving}
+        total = math.fsum(kept.values())
+        return DNumber(self._frame, {focal: mass / total for focal, mass in kept.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DNumber):

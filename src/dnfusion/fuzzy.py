@@ -15,10 +15,6 @@ __all__ = [
     "non_exclusive_degree",
 ]
 
-# A computed crossing this close to a grid point, relative to the joint
-# span, is merged into that point.
-_DEDUP_REL = 1e-12
-
 
 @dataclass(frozen=True)
 class TrapezoidalFuzzyNumber:
@@ -67,11 +63,6 @@ class TrapezoidalFuzzyNumber:
         """Integral of the membership function, ((d - a) + (c - b)) / 2."""
         return 0.5 * ((self.d - self.a) + (self.c - self.b))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        """Closed interval outside which membership is zero."""
-        return (self.a, self.d)
-
     def shift(self, offset: float) -> TrapezoidalFuzzyNumber:
         """The same shape translated along the axis by ``offset``."""
         return TrapezoidalFuzzyNumber(
@@ -119,22 +110,16 @@ def _grid(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> list[float]
         raise ValueError(f"joint support of {t1} and {t2} overflows")
     # Breakpoints are exact inputs and all stay on the grid, so a narrow but
     # genuine support never collapses however far away the other shape lies.
-    grid = sorted({t1.a, t1.b, t1.c, t1.d, t2.a, t2.b, t2.c, t2.d})
-    crossings = []
+    # A computed crossing that rounds next to a breakpoint only adds a sliver
+    # on which both memberships are still linear, so the midpoint rule in
+    # _envelope_areas stays exact there.
+    grid = {t1.a, t1.b, t1.c, t1.d, t2.a, t2.b, t2.c, t2.d}
     for p in _pieces(t1):
         for q in _pieces(t2):
             x = _crossing(p, q)
             if x is not None:
-                crossings.append(x)
-    # A computed crossing carries rounding error; one that lands within the
-    # tolerance of a point already on the grid is that point and is dropped.
-    # Sorting first keeps the result independent of argument order.
-    tol = span * _DEDUP_REL
-    for x in sorted(crossings):
-        if all(abs(x - y) > tol for y in grid):
-            grid.append(x)
-    grid.sort()
-    return grid
+                grid.add(x)
+    return sorted(grid)
 
 
 def _envelope_areas(

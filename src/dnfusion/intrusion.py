@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dnumber import DNumber, FocalElement, Frame, combine_all
+from .dnumber import COMPLETENESS_TOL, DNumber, FocalElement, Frame, combine_all
 from .errors import TooFewGranules
 from .exclusivity import Granulation, exclusive_coefficient, relative_matrix
 from .fuzzy import TrapezoidalFuzzyNumber
@@ -208,11 +208,11 @@ class RiskTriple:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not -1e-9 <= value <= 1.0 + 1e-9:
+            if not -COMPLETENESS_TOL <= value <= 1.0 + COMPLETENESS_TOL:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, float(value))
         total = self.p + self.p_np + self.np
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"risk masses must sum to 1, got {total!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -241,20 +241,12 @@ def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:
     return DNumber(INTRUSION_FRAME, {focal: mu / total for focal, mu in weights.items()})
 
 
-def _surrogate_value(body: EvidenceBody, scenario: Scenario) -> float:
-    values = {
-        "pathway": scenario.breaks,
-        "pressure": scenario.pressure,
-        "source": scenario.distance,
-    }
-    return values[body.name]
-
-
 def assess_risk(scenario: Scenario, model: IntrusionModel) -> RiskTriple:
     """Fuse the three discounted evidence bodies at the scenario's measurements."""
+    values = (scenario.breaks, scenario.pressure, scenario.distance)
     discounted = [
-        evidence_to_dnumber(body, _surrogate_value(body, scenario)).discount(body.epsilon)
-        for body in model.bodies
+        evidence_to_dnumber(body, value).discount(body.epsilon)
+        for body, value in zip(model.bodies, values)
     ]
     fused = combine_all(discounted)
     masses = fused.masses

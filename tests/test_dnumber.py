@@ -305,6 +305,25 @@ class TestCombineAll:
         fused = combine_all([DNumber.vacuous(PN)] * 3)
         assert fused == DNumber.vacuous(PN)
 
+    def test_long_fold_keeps_completeness(self):
+        # Hundreds of focal sets per fold leave dust below MASS_FLOOR; if it is
+        # dropped after normalizing, the loss accumulates across folds until
+        # a complete input is rejected as incomplete.
+        rng = random.Random(5)
+        frame = Frame(tuple(f"l{i}" for i in range(10)))
+        dnumbers = []
+        for _ in range(30):
+            masses = {}
+            while len(masses) < 8:
+                labels = tuple(label for label in frame.labels if rng.random() < 0.6)
+                if labels:
+                    masses[labels] = rng.random()
+            scale = 1.0 / 1.05 / sum(masses.values())
+            d = DNumber(frame, {key: mass * scale for key, mass in masses.items()})
+            dnumbers.append(d.normalize_incomplete().discount(0.05))
+        fused = combine_all(dnumbers)
+        assert abs(fused.completeness() - 1.0) <= 1e-12
+
 
 class TestRandomizedAgainstOracle:
     def test_combine_matches_rational_arithmetic(self):

@@ -126,8 +126,6 @@ def cmd_epsilon(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.epsilon <= 1.0:
-        raise ValidationError(f"--epsilon must be in [0, 1], got {args.epsilon}")
     dnumbers = load_dnumbers(args.dnumbers)
     if len(dnumbers) < 2:
         raise ValidationError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyInput, FrameMismatch, IncompleteInput, TotalConflict
+from .errors import EmptyInput, FrameMismatch, IncompleteInput, TotalConflict, _as_finite
 
 __all__ = [
     "Frame",
@@ -135,11 +135,7 @@ class DNumber:
         accumulated: dict[FocalElement, float] = {}
         for key, value in items:
             focal = frame.focal(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"mass for {focal} must be a number, got {value!r}")
-            mass = float(value)
-            if not math.isfinite(mass):
-                raise ValueError(f"mass for {focal} must be finite, got {value!r}")
+            mass = _as_finite(value, focal)
             if mass < 0.0:
                 raise ValueError(f"mass for {focal} must be non-negative, got {value!r}")
             accumulated[focal] = accumulated.get(focal, 0.0) + mass
@@ -195,8 +191,7 @@ class DNumber:
         Requires a complete input; call :meth:`normalize_incomplete` first when
         total mass is below 1. ``epsilon`` must lie in [0, 1].
         """
-        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
+        epsilon = _as_finite(epsilon, "epsilon")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon!r}")
         if not self.is_complete():

@@ -1,4 +1,6 @@
-"""Exception types raised by the dnfusion package."""
+"""Exception types raised by the dnfusion package, and its one number check."""
+
+import math
 
 
 class DnfusionError(Exception):
@@ -31,3 +33,21 @@ class EmptyInput(DnfusionError):
 
 class ValidationError(DnfusionError):
     """A structured input file failed validation."""
+
+
+def _as_finite(value: object, name: object) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite real.
+
+    Booleans are rejected although Python counts them as integers, and so is an
+    integer too large for a float. ``name`` is formatted only when the check
+    fails, so a caller on a hot path can pass an object instead of a string.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected a finite number, got a huge integer") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return number

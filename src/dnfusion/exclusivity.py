@@ -63,14 +63,6 @@ class RelativeMatrix:
         if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValueError(f"matrix must be {n}x{n} to match the labels")
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        i, j = ij
-        return self.values[i][j]
-
 
 def relative_matrix(granulation: Granulation) -> RelativeMatrix:
     """Non-exclusive degree of every granule pair; each pair is computed once
@@ -91,7 +83,7 @@ def exclusive_coefficient(matrix: RelativeMatrix) -> float:
 
     Zero-overlap pairs still count in the denominator n(n-1)/2.
     """
-    n = matrix.n
+    n = len(matrix.labels)
     if n < 2:
         raise TooFewGranules("exclusive coefficient needs at least two granules")
     upper = [matrix.values[i][j] for i in range(n) for j in range(i + 1, n)]

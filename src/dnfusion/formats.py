@@ -2,14 +2,14 @@
 
 Every loader raises :class:`ValidationError` with a message that names the
 offending entry (file, index, label) so the CLI can surface it verbatim.
-Row-level problems in a scenario file become inline errors instead of failing
+Loaders check only the structure of a document; the constructors check the
+values, and their ValueError comes back naming the entry. Row-level problems in a scenario file become inline errors instead of failing
 the whole file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +46,10 @@ def _load_json(path: str | Path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting beyond the recursion limit, or an integer of more digits
+        # than Python converts
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _as_object(value: object, where: str) -> dict:
@@ -66,21 +70,12 @@ def _as_string(value: object, where: str) -> str:
     return value
 
 
-def _as_number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _as_shape(value: object, where: str) -> TrapezoidalFuzzyNumber:
     arr = _as_array(value, where)
     if len(arr) != 4:
         raise ValidationError(f"{where}: shape must be [a, b, c, d], got {len(arr)} values")
-    numbers = [_as_number(v, f"{where}[{i}]") for i, v in enumerate(arr)]
     try:
-        return TrapezoidalFuzzyNumber(*numbers)
+        return TrapezoidalFuzzyNumber(*arr)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -138,12 +133,11 @@ def load_dnumbers(path: str | Path) -> list[DNumber]:
                 _as_string(v, f"{mwhere}.focal[{k}]")
                 for k, v in enumerate(_as_array(mobj.get("focal"), f"{mwhere}.focal"))
             ]
-            value = _as_number(mobj.get("value"), f"{mwhere}.value")
             try:
                 focal = this_frame.focal(focal_labels)
             except ValueError as exc:
                 raise ValidationError(f"{mwhere}.focal: {exc}") from exc
-            pairs.append((focal, value))
+            pairs.append((focal, mobj.get("value")))
         try:
             out.append(DNumber(this_frame, pairs))
         except ValueError as exc:
@@ -165,18 +159,9 @@ def load_model(path: str | Path) -> IntrusionModel:
         where = f"{path}: bodies[{i}]"
         obj = _as_object(entry, where)
         name = _as_string(obj.get("name"), f"{where}.name")
-        if name not in BODY_NAMES:
-            raise ValidationError(
-                f"{where}.name: must be one of {', '.join(BODY_NAMES)}, got {name!r}"
-            )
         if name in bodies:
             raise ValidationError(f"{where}: duplicate body {name!r}")
         unit = _as_string(obj.get("unit"), f"{where}.unit")
-        epsilon = obj.get("epsilon")
-        if epsilon is not None:
-            epsilon = _as_number(epsilon, f"{where}.epsilon")
-            if not 0.0 <= epsilon <= 1.0:
-                raise ValidationError(f"{where}.epsilon: must be in [0, 1], got {epsilon}")
         curves: list[Curve] = []
         used_labels: set[str] = set()
         for j, c in enumerate(_as_array(obj.get("curves"), f"{where}.curves")):
@@ -207,7 +192,7 @@ def load_model(path: str | Path) -> IntrusionModel:
             except ValueError as exc:
                 raise ValidationError(f"{cwhere}: {exc}") from exc
         try:
-            bodies[name] = EvidenceBody.build(name, unit, tuple(curves), epsilon=epsilon)
+            bodies[name] = EvidenceBody.build(name, unit, curves, epsilon=obj.get("epsilon"))
         except (ValueError, TooFewGranules) as exc:
             raise ValidationError(f"{where}: {exc}") from exc
     missing = [n for n in BODY_NAMES if n not in bodies]
@@ -248,15 +233,11 @@ def load_scenarios(path: str | Path) -> list[ScenarioRow]:
             if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
                 raise ValidationError(f"{where}.id: must be a string or an integer")
             row_id = str(raw_id)
-            breaks = _as_number(obj.get("breaks"), f"{where}.breaks")
-            pressure = _as_number(obj.get("pressure"), f"{where}.pressure")
-            distance = _as_number(obj.get("distance"), f"{where}.distance")
-            try:
-                scenario = Scenario(breaks, pressure, distance)
-            except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
+            scenario = Scenario(obj.get("breaks"), obj.get("pressure"), obj.get("distance"))
         except ValidationError as exc:
             error = str(exc)
+        except ValueError as exc:
+            error = f"{where}: {exc}"
         if row_id in seen_ids:
             raise ValidationError(f"{where}: duplicate id {row_id!r}")
         seen_ids.add(row_id)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from itertools import pairwise
 
-from .errors import UndefinedDegree
+from .errors import UndefinedDegree, _as_finite
 
 __all__ = [
     "TrapezoidalFuzzyNumber",
@@ -32,12 +32,7 @@ class TrapezoidalFuzzyNumber:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"breakpoint {name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"breakpoint {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _as_finite(getattr(self, name), f"breakpoint {name}"))
         if not self.a <= self.b <= self.c <= self.d:
             raise ValueError(
                 "breakpoints must satisfy a <= b <= c <= d, got "
@@ -62,12 +57,6 @@ class TrapezoidalFuzzyNumber:
     def area(self) -> float:
         """Integral of the membership function, ((d - a) + (c - b)) / 2."""
         return 0.5 * ((self.d - self.a) + (self.c - self.b))
-
-    def shift(self, offset: float) -> TrapezoidalFuzzyNumber:
-        """The same shape translated along the axis by ``offset``."""
-        return TrapezoidalFuzzyNumber(
-            self.a + offset, self.b + offset, self.c + offset, self.d + offset
-        )
 
 
 def _pieces(t: TrapezoidalFuzzyNumber) -> list[tuple[float, float, float, float]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .dnumber import COMPLETENESS_TOL, DNumber, FocalElement, Frame, combine_all
-from .errors import TooFewGranules
+from .errors import TooFewGranules, _as_finite
 from .exclusivity import Granulation, exclusive_coefficient, relative_matrix
 from .fuzzy import TrapezoidalFuzzyNumber
 
@@ -98,15 +98,10 @@ class EvidenceBody:
         for curve in self.curves:
             if not isinstance(curve, Curve):
                 raise ValueError(f"body {self.name!r}: curves must be Curve instances")
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float)):
-            raise ValueError(f"body {self.name!r}: epsilon must be a number")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(
-                f"body {self.name!r}: epsilon must be in [0, 1], got {self.epsilon!r}"
-            )
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        # label uniqueness rides on the granulation check
-        self.granulation()
+        epsilon = _as_finite(self.epsilon, f"body {self.name!r}: epsilon")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"body {self.name!r}: epsilon must be in [0, 1], got {epsilon!r}")
+        object.__setattr__(self, "epsilon", epsilon)
 
     @classmethod
     def build(
@@ -126,31 +121,22 @@ class EvidenceBody:
         if len(curves) >= 2:
             granulation = Granulation(tuple((c.label, c.shape) for c in curves))
             derived = exclusive_coefficient(relative_matrix(granulation))
-        configured = epsilon is not None
         if epsilon is None:
             if derived is None:
                 raise TooFewGranules(
                     f"body {name!r}: cannot derive epsilon from a single curve; "
                     "configure it explicitly"
                 )
-            epsilon = derived
-        body = cls(name, unit, curves, float(epsilon))
-        if configured and derived is not None and abs(epsilon - derived) > EPSILON_MISMATCH_TOL:
+            return cls(name, unit, curves, derived)
+        body = cls(name, unit, curves, epsilon)
+        if derived is not None and abs(body.epsilon - derived) > EPSILON_MISMATCH_TOL:
             warnings.warn(
-                f"body {name!r}: configured epsilon {epsilon:.4f} differs from the "
+                f"body {name!r}: configured epsilon {body.epsilon:.4f} differs from the "
                 f"curve-derived value {derived:.4f} by more than {EPSILON_MISMATCH_TOL}",
                 EpsilonMismatchWarning,
                 stacklevel=2,
             )
         return body
-
-    def granulation(self) -> Granulation:
-        """The body's curves as a granulation of its measurement axis."""
-        return Granulation(tuple((curve.label, curve.shape) for curve in self.curves))
-
-    def derived_epsilon(self) -> float:
-        """Exclusive coefficient recomputed from the body's own curves."""
-        return exclusive_coefficient(relative_matrix(self.granulation()))
 
 
 @dataclass(frozen=True)
@@ -185,12 +171,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in ("breaks", "pressure", "distance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
         if self.distance < 0.0:
             raise ValueError(f"distance must be >= 0, got {self.distance}")
 
@@ -205,12 +186,10 @@ class RiskTriple:
 
     def __post_init__(self) -> None:
         for name in ("p", "p_np", "np"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            value = _as_finite(getattr(self, name), name)
             if not -COMPLETENESS_TOL <= value <= 1.0 + COMPLETENESS_TOL:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         total = self.p + self.p_np + self.np
         if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"risk masses must sum to 1, got {total!r}")
@@ -226,10 +205,7 @@ def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:
     When every membership is zero the body says nothing about the value, so the
     result is total ignorance.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"value must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value!r}")
+    value = _as_finite(value, "value")
     weights: dict[FocalElement, float] = {}
     for curve in body.curves:
         mu = curve.shape.membership(value)

@@ -22,7 +22,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
     _HAVE_NUMBA = False
 
 RIEMANN_INTERVALS = 1_000_000
-# Remaining mass at or below which DNumber.combine reports total conflict.
+# Surviving mass at or below which DNumber.combine reports total conflict:
+# its MASS_FLOOR.
 TOTAL_CONFLICT_THRESHOLD = Fraction(1e-12)
 
 if _HAVE_NUMBA:
@@ -123,7 +124,7 @@ def rational_combine(d1: DNumber, d2: DNumber) -> dict | None:
     """Pairwise-product combination in exact rational arithmetic.
 
     Returns the normalized mass map as Fractions, or None on total conflict,
-    which ``DNumber.combine`` documents as 1 - k <= 1e-12.
+    which ``DNumber.combine`` documents as surviving mass <= MASS_FLOOR.
     """
     products: dict = {}
     conflict = Fraction(0)

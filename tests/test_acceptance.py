@@ -80,14 +80,14 @@ def test_criterion_1_relative_matrix(capsys):
             (3, 4): 0.2353,
         }
         for (i, j), value in expected_nonzero.items():
-            assert matrix[i, j] == pytest.approx(value, abs=5e-4)
-            assert matrix[j, i] == matrix[i, j]
+            assert matrix.values[i][j] == pytest.approx(value, abs=5e-4)
+            assert matrix.values[j][i] == matrix.values[i][j]
         for i in range(5):
             for j in range(5):
                 if i == j:
-                    assert matrix[i, j] == 1.0
+                    assert matrix.values[i][j] == 1.0
                 elif (i, j) not in expected_nonzero and (j, i) not in expected_nonzero:
-                    assert matrix[i, j] == 0.0
+                    assert matrix.values[i][j] == 0.0
         assert elapsed < 1.0
 
 

@@ -1,15 +1,19 @@
 """CLI behaviour: output shapes, exit codes, and robustness against bad input."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnfusion import cli
 from dnfusion.cli import EXIT_CONFLICT, EXIT_INPUT, EXIT_OK
-from dnfusion.intrusion import RiskTriple
+from dnfusion.intrusion import BODY_NAMES, RiskTriple
 
 
 def run(capsys, *argv):
@@ -392,6 +396,14 @@ class TestBatch:
         assert code == EXIT_INPUT
         assert "duplicate id" in err
 
+    def test_deeply_nested_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_output_is_deterministic(self, capsys, six_scenarios_file):
         _, first, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
         _, second, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
@@ -475,3 +487,118 @@ class TestFuzz:
             code = cli.main(argv)
             capsys.readouterr()
             assert code in (0, 1, 2), argv
+
+
+
+# Any JSON value, including NaN/Infinity literals and integers beyond float
+# range, which json.loads accepts and a float conversion rejects.
+HUGE = st.sampled_from([10**400, -(10**400)])
+BIG = "1" + "0" * 400
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | HUGE | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+numbers = st.floats(-100, 100) | st.integers(-100, 100) | HUGE | json_values
+labels = st.sampled_from(["P", "NP", "a", "b"]) | json_values
+shapes = st.lists(numbers, min_size=3, max_size=5) | json_values
+
+# Near-valid documents for each loader, so that the values reach the constructors.
+granule = st.fixed_dictionaries({"label": labels, "shape": shapes})
+mass = st.fixed_dictionaries({"focal": st.lists(labels, max_size=2), "value": numbers})
+dnumber = st.fixed_dictionaries(
+    {"frame": st.lists(labels, max_size=3), "masses": st.lists(mass, max_size=3)}
+)
+curve = st.fixed_dictionaries({"focal": st.lists(labels, max_size=2), "shape": shapes})
+body = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(BODY_NAMES) | json_values,
+        "unit": st.just("u") | json_values,
+        "curves": st.lists(curve, max_size=3),
+    },
+    optional={"epsilon": numbers},
+)
+row = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=2) | json_values,
+        "breaks": numbers,
+        "pressure": numbers,
+        "distance": numbers,
+    }
+)
+ARGV = {
+    "epsilon": lambda path: ["epsilon", path],
+    "fuse": lambda path: ["fuse", path, "--epsilon", "0.1"],
+    "assess": lambda path: [
+        "assess", "--breaks", "10", "--pressure", "0", "--distance", "3", "--model", path
+    ],
+    "batch": lambda path: ["batch", path, "--format", "json"],
+}
+
+
+def _texts(docs):
+    nested = st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth)
+    return (docs | json_values).map(json.dumps) | nested
+
+
+documents = st.one_of(
+    st.tuples(st.just("epsilon"), _texts(st.fixed_dictionaries({"granules": st.lists(granule)}))),
+    st.tuples(st.just("fuse"), _texts(st.lists(dnumber, max_size=3))),
+    st.tuples(st.just("assess"), _texts(st.fixed_dictionaries({"bodies": st.lists(body)}))),
+    st.tuples(st.just("batch"), _texts(st.lists(row, max_size=3))),
+)
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "doc.json"
+
+
+class TestExitContract:
+    @given(case=documents)
+    @example(case=("epsilon", '{"granules": [{"label": "x", "shape": [0, %s, 1, 2]}]}' % BIG))
+    @example(case=("fuse", '[{"frame": ["a"], "masses": [{"focal": ["a"], "value": %s}]}]' % BIG))
+    @example(
+        case=(
+            "assess",
+            '{"bodies": [{"name": "source", "unit": "m", "epsilon": -%s, '
+            '"curves": [{"focal": ["P"], "shape": [0, 1, 2, 3]}]}]}' % BIG,
+        )
+    )
+    @example(case=("batch", '[{"id": "x", "breaks": %s, "pressure": 0, "distance": 3}]' % BIG))
+    @example(case=("batch", '[{"id": "x", "breaks": NaN, "pressure": -Infinity, "distance": 3}]'))
+    @example(case=("batch", "[" * 100_000 + "]" * 100_000))
+    @settings(deadline=None)
+    def test_any_document_keeps_the_exit_contract(self, doc_path, case):
+        command, text = case
+        doc_path.write_text(text, encoding="utf-8")
+        code, _, err = call(ARGV[command](str(doc_path)))
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONFLICT)
+        if err:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        else:
+            # batch reports failed rows in its output, not on stderr
+            assert code == EXIT_OK or command == "batch"
+
+    @given(field=st.sampled_from(["breaks", "pressure", "distance"]), value=json_values)
+    @example(field="breaks", value=10**400)
+    @example(field="distance", value=-(10**400))
+    @settings(deadline=None)
+    def test_a_bad_row_stays_a_row_error(self, doc_path, field, value):
+        good = {"id": "good", "breaks": 10, "pressure": 0, "distance": 3}
+        bad = {**good, "id": "bad", field: value}
+        doc_path.write_text(json.dumps([bad, good]), encoding="utf-8")
+        code, out, err = call(ARGV["batch"](str(doc_path)))
+        assert code == EXIT_OK and err == ""
+        bad_row, good_row = json.loads(out)
+        assert bad_row["id"] == "bad" and ("error" in bad_row or "risk" in bad_row)
+        assert good_row["risk"] == {"P": 0.442, "P,NP": 0.067, "NP": 0.491}

@@ -53,28 +53,28 @@ class TestRelativeMatrix:
     def test_five_level_scale_values(self, scale):
         m = relative_matrix(scale)
         assert m.labels == scale.labels
-        assert m[0, 1] == pytest.approx(0.0577, abs=5e-5)
-        assert m[1, 2] == pytest.approx(0.081, abs=5e-5)
-        assert m[2, 3] == pytest.approx(0.0449, abs=5e-5)
-        assert m[3, 4] == pytest.approx(0.2353, abs=5e-5)
+        assert m.values[0][1] == pytest.approx(0.0577, abs=5e-5)
+        assert m.values[1][2] == pytest.approx(0.081, abs=5e-5)
+        assert m.values[2][3] == pytest.approx(0.0449, abs=5e-5)
+        assert m.values[3][4] == pytest.approx(0.2353, abs=5e-5)
 
     def test_non_adjacent_pairs_are_exactly_zero(self, scale):
         m = relative_matrix(scale)
         zero_pairs = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]
         for i, j in zero_pairs:
-            assert m[i, j] == 0.0
-            assert m[j, i] == 0.0
+            assert m.values[i][j] == 0.0
+            assert m.values[j][i] == 0.0
 
     def test_diagonal_is_exactly_one(self, scale):
         m = relative_matrix(scale)
-        for i in range(m.n):
-            assert m[i, i] == 1.0
+        for i in range(len(m.labels)):
+            assert m.values[i][i] == 1.0
 
     def test_symmetric_bit_for_bit(self, scale):
         m = relative_matrix(scale)
-        for i in range(m.n):
-            for j in range(m.n):
-                assert m[i, j] == m[j, i]
+        for i in range(len(m.labels)):
+            for j in range(len(m.labels)):
+                assert m.values[i][j] == m.values[j][i]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matrix"):

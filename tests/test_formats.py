@@ -271,6 +271,13 @@ class TestLoadModel:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             load_model(write(tmp_path, "m.json", doc))
 
+    @pytest.mark.parametrize("epsilon", [True, "0.5"])
+    def test_epsilon_must_be_a_number(self, tmp_path, epsilon):
+        doc = json.loads(json.dumps(MODEL_DOC))
+        doc["bodies"][1]["epsilon"] = epsilon
+        with pytest.raises(ValidationError, match=r"bodies\[1\].*epsilon"):
+            load_model(write(tmp_path, "m.json", doc))
+
     def test_bad_curve_focal(self, tmp_path):
         doc = json.loads(json.dumps(MODEL_DOC))
         doc["bodies"][0]["curves"][0]["focal"] = ["Q"]

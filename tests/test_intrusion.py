@@ -9,6 +9,7 @@ from dnfusion import (
     EpsilonMismatchWarning,
     EvidenceBody,
     FocalElement,
+    Granulation,
     IntrusionModel,
     RiskTriple,
     Scenario,
@@ -18,6 +19,8 @@ from dnfusion import (
     assess_risk,
     default_model,
     evidence_to_dnumber,
+    exclusive_coefficient,
+    relative_matrix,
 )
 from dnfusion.intrusion import INTRUSION_FRAME, NOT_POSSIBLE, POSSIBLE, UNKNOWN, Curve
 
@@ -33,6 +36,11 @@ def build_body(name="pathway", unit="breaks/100 km/year", curves=None, epsilon=N
             Curve("rough", POSSIBLE, T(30.0, 40.0, 50.0, 60.0)),
         )
     return EvidenceBody.build(name, unit, curves, epsilon=epsilon)
+
+
+def derived_epsilon(body):
+    granulation = Granulation(tuple((curve.label, curve.shape) for curve in body.curves))
+    return exclusive_coefficient(relative_matrix(granulation))
 
 
 class TestCurve:
@@ -73,7 +81,7 @@ class TestEvidenceBody:
 
     def test_derives_epsilon_when_not_configured(self):
         body = build_body()
-        assert body.epsilon == body.derived_epsilon()
+        assert body.epsilon == derived_epsilon(body)
 
     def test_disjoint_curves_derive_zero(self):
         assert build_body().epsilon == 0.0
@@ -172,7 +180,7 @@ class TestDefaultModel:
             warnings.simplefilter("error")
             model = default_model()
         for body in model.bodies:
-            assert abs(body.derived_epsilon() - body.epsilon) <= 0.02
+            assert abs(derived_epsilon(body) - body.epsilon) <= 0.02
 
     def test_landmark_measurements_are_categorical(self):
         model = default_model()

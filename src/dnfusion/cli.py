@@ -3,29 +3,22 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .dnumber import combine_all, focal_sort_key
+from .dnumber import combine_all
 from .errors import DnfusionError, TotalConflict, ValidationError
 from .exclusivity import exclusive_coefficient, relative_matrix
 from .formats import load_dnumbers, load_granulation, load_model, load_scenarios
-from .intrusion import (
-    NOT_POSSIBLE,
-    POSSIBLE,
-    UNKNOWN,
-    IntrusionModel,
-    RiskTriple,
-    Scenario,
-    assess_risk,
-    default_model,
-)
+from .intrusion import IntrusionModel, RiskTriple, Scenario, assess_risk, default_model
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONFLICT = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnfusion",
@@ -42,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eps.add_argument("granulation", help="granulation JSON file")
     _add_format(p_eps)
-    p_eps.set_defaults(func=cmd_epsilon)
 
     p_fuse = sub.add_parser("fuse", help="discount and combine two or more D numbers")
     p_fuse.add_argument("dnumbers", help="JSON array of D numbers on one frame")
@@ -53,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exclusive coefficient in [0, 1] used to discount every input",
     )
     _add_format(p_fuse)
-    p_fuse.set_defaults(func=cmd_fuse)
 
     p_assess = sub.add_parser("assess", help="risk triple for a single scenario")
     p_assess.add_argument("--breaks", type=float, required=True, help="breaks/100 km/year")
@@ -61,13 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--distance", type=float, required=True, help="meters, >= 0")
     p_assess.add_argument("--model", help="model JSON file (default: built-in model)")
     _add_format(p_assess)
-    p_assess.set_defaults(func=cmd_assess)
 
     p_batch = sub.add_parser("batch", help="risk table for a scenario file")
     p_batch.add_argument("scenarios", help="scenario JSON file")
     p_batch.add_argument("--model", help="model JSON file (default: built-in model)")
     _add_format(p_batch)
-    p_batch.set_defaults(func=cmd_batch)
 
     return parser
 
@@ -91,7 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
         return EXIT_OK if code == 0 else EXIT_INPUT
     try:
-        return args.func(args)
+        # resolved per call, not stored in the cached parser, so that a
+        # rebound command function (a tracer's wrapper) is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except TotalConflict as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
@@ -133,21 +124,21 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         )
     discounted = [d.normalize_incomplete().discount(args.epsilon) for d in dnumbers]
     fused = combine_all(discounted)
-    ordered = sorted(fused.masses.items(), key=lambda kv: focal_sort_key(fused.frame, kv[0]))
+    masses = fused.masses
     if args.format == "json":
         payload = {
             "frame": list(fused.frame.labels),
             "epsilon": round(args.epsilon, 4),
             "masses": [
                 {"focal": list(focal.labels), "value": round(mass, 4)}
-                for focal, mass in ordered
+                for focal, mass in masses.items()
             ],
         }
         print(json.dumps(payload, indent=2))
     else:
-        width = max(len(str(focal)) for focal, _ in ordered) + 2
+        width = max(len(str(focal)) for focal in masses) + 2
         lines = [f"fused masses (epsilon = {args.epsilon:.4f}):"]
-        for focal, mass in ordered:
+        for focal, mass in masses.items():
             lines.append(f"{str(focal):<{width}}{mass:.4f}")
         print("\n".join(lines))
     return EXIT_OK
@@ -162,11 +153,17 @@ def _verdict(triple: RiskTriple) -> str:
     return max(labelled, key=lambda pair: pair[1])[0]
 
 
-def _risk_payload(triple: RiskTriple) -> dict:
+def _scenario_payload(scenario: Scenario, triple: RiskTriple) -> dict:
     return {
-        "P": round(triple.p, 3),
-        "P,NP": round(triple.p_np, 3),
-        "NP": round(triple.np, 3),
+        "breaks": scenario.breaks,
+        "pressure": scenario.pressure,
+        "distance": scenario.distance,
+        "risk": {
+            "P": round(triple.p, 3),
+            "P,NP": round(triple.p_np, 3),
+            "NP": round(triple.np, 3),
+        },
+        "verdict": _verdict(triple),
     }
 
 
@@ -175,14 +172,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     scenario = Scenario(args.breaks, args.pressure, args.distance)
     triple = assess_risk(scenario, model)
     if args.format == "json":
-        payload = {
-            "breaks": scenario.breaks,
-            "pressure": scenario.pressure,
-            "distance": scenario.distance,
-            "risk": _risk_payload(triple),
-            "verdict": _verdict(triple),
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_scenario_payload(scenario, triple), indent=2))
     else:
         print(
             "risk ({P}, {P,NP}, {NP}): "
@@ -216,16 +206,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             if error is not None:
                 payload.append({"id": row.id, "error": error})
             else:
-                payload.append(
-                    {
-                        "id": row.id,
-                        "breaks": row.scenario.breaks,
-                        "pressure": row.scenario.pressure,
-                        "distance": row.scenario.distance,
-                        "risk": _risk_payload(triple),
-                        "verdict": _verdict(triple),
-                    }
-                )
+                payload.append({"id": row.id, **_scenario_payload(row.scenario, triple)})
         print(json.dumps(payload, indent=2))
     else:
         print(_batch_table(results))

@@ -20,7 +20,6 @@ __all__ = [
     "FocalElement",
     "DNumber",
     "combine_all",
-    "focal_sort_key",
     "COMPLETENESS_TOL",
     "MASS_FLOOR",
 ]
@@ -46,12 +45,6 @@ class FocalElement:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("focal element cannot be empty")
-
-    def intersection(self, other: FocalElement) -> FocalElement | None:
-        """Label-set intersection, or None when it is empty."""
-        other_labels = set(other.labels)
-        common = tuple(label for label in self.labels if label in other_labels)
-        return FocalElement(common) if common else None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -94,23 +87,31 @@ class Frame:
 
     def focal(self, labels: str | Iterable[str]) -> FocalElement:
         """Canonical focal element for ``labels``: frame order, duplicates dropped."""
+        return self._element(self._mask(labels))
+
+    def _mask(self, labels: str | Iterable[str]) -> int:
+        """Bitmask of ``labels``, bit i for ``self.labels[i]``; ValueError if unknown or empty."""
         if isinstance(labels, FocalElement):
             labels = labels.labels
         requested = (labels,) if isinstance(labels, str) else tuple(labels)
         unknown = [label for label in requested if label not in self.labels]
         if unknown:
             raise ValueError(f"labels not in frame {self.labels}: {unknown!r}")
-        wanted = set(requested)
-        canonical = tuple(label for label in self.labels if label in wanted)
-        if not canonical:
+        if not requested:
             raise ValueError("focal element cannot be empty")
-        return FocalElement(canonical)
+        mask = 0
+        for label in requested:
+            mask |= 1 << self.labels.index(label)
+        return mask
+
+    def _element(self, mask: int) -> FocalElement:
+        """The focal element of a non-empty bitmask over this frame."""
+        return FocalElement(tuple(label for i, label in enumerate(self.labels) if mask >> i & 1))
 
 
-def focal_sort_key(frame: Frame, focal: FocalElement) -> tuple[int, ...]:
-    """Deterministic display order: the frame indices of the focal's labels."""
-    index = {label: i for i, label in enumerate(frame.labels)}
-    return tuple(index[label] for label in focal.labels)
+def _positions(mask: int) -> list[int]:
+    """Frame positions of a mask's labels; sorting by them gives display order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class DNumber:
@@ -122,6 +123,7 @@ class DNumber:
     exceed 1 beyond COMPLETENESS_TOL. Duplicate keys accumulate.
     """
 
+    # _masses is keyed by bitmask over frame order: bit i stands for frame.labels[i]
     __slots__ = ("_frame", "_masses")
 
     def __init__(
@@ -132,19 +134,27 @@ class DNumber:
         if not isinstance(frame, Frame):
             raise ValueError(f"frame must be a Frame, got {type(frame).__name__}")
         items = masses.items() if isinstance(masses, Mapping) else masses
-        accumulated: dict[FocalElement, float] = {}
+        accumulated: dict[int, float] = {}
         for key, value in items:
-            focal = frame.focal(key)
-            mass = _as_finite(value, focal)
+            mask = frame._mask(key)
+            mass = _as_finite(value, key)
             if mass < 0.0:
-                raise ValueError(f"mass for {focal} must be non-negative, got {value!r}")
-            accumulated[focal] = accumulated.get(focal, 0.0) + mass
-        cleaned = {focal: mass for focal, mass in accumulated.items() if mass >= MASS_FLOOR}
+                raise ValueError(f"mass for {key} must be non-negative, got {value!r}")
+            accumulated[mask] = accumulated.get(mask, 0.0) + mass
+        cleaned = {mask: mass for mask, mass in accumulated.items() if mass >= MASS_FLOOR}
         total = math.fsum(cleaned.values())
         if total > 1.0 + COMPLETENESS_TOL:
             raise ValueError(f"total mass may not exceed 1, got {total!r}")
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_masses", cleaned)
+
+    @classmethod
+    def _of(cls, frame: Frame, masses: dict[int, float]) -> DNumber:
+        """This class's own results: masks as given, dust dropped, nothing re-checked."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "_frame", frame)
+        object.__setattr__(d, "_masses", {m: v for m, v in masses.items() if v >= MASS_FLOOR})
+        return d
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DNumber is immutable")
@@ -155,13 +165,17 @@ class DNumber:
 
     @property
     def masses(self) -> Mapping[FocalElement, float]:
-        """Read-only view of the mass map."""
-        return MappingProxyType(self._masses)
+        """Read-only mass map in frame display order: {a}, {a, b}, {a, c}, {b} on (a, b, c)."""
+        element = self._frame._element
+        ordered = sorted(self._masses.items(), key=lambda kv: _positions(kv[0]))
+        return MappingProxyType({element(mask): mass for mask, mass in ordered})
 
     @classmethod
     def vacuous(cls, frame: Frame) -> DNumber:
         """Total ignorance: all mass on the whole frame."""
-        return cls(frame, {frame.theta: 1.0})
+        if not isinstance(frame, Frame):
+            raise ValueError(f"frame must be a Frame, got {type(frame).__name__}")
+        return cls._of(frame, {(1 << len(frame)) - 1: 1.0})
 
     def completeness(self) -> float:
         """Total assigned mass; below 1 means the information is incomplete."""
@@ -180,10 +194,10 @@ class DNumber:
         if deficit <= MASS_FLOOR:
             # a deficit this small is rounding noise, not missing evidence
             return self
-        theta = self._frame.theta
+        theta = (1 << len(self._frame)) - 1
         masses = dict(self._masses)
         masses[theta] = masses.get(theta, 0.0) + deficit
-        return DNumber(self._frame, masses)
+        return DNumber._of(self._frame, masses)
 
     def discount(self, epsilon: float) -> DNumber:
         """Scale every mass by (1 - epsilon) and give epsilon to total ignorance.
@@ -200,10 +214,10 @@ class DNumber:
                 "call normalize_incomplete() first"
             )
         keep = 1.0 - epsilon
-        masses = {focal: mass * keep for focal, mass in self._masses.items()}
-        theta = self._frame.theta
+        masses = {mask: mass * keep for mask, mass in self._masses.items()}
+        theta = (1 << len(self._frame)) - 1
         masses[theta] = masses.get(theta, 0.0) + epsilon
-        return DNumber(self._frame, masses)
+        return DNumber._of(self._frame, masses)
 
     def combine(self, other: DNumber) -> DNumber:
         """Conflict-normalized combination of two complete D numbers.
@@ -224,21 +238,21 @@ class DNumber:
             raise IncompleteInput(
                 "combination requires complete inputs; normalize or discount first"
             )
-        buckets: dict[FocalElement, list[float]] = {}
+        buckets: dict[int, list[float]] = {}
         for left, left_mass in self._masses.items():
             for right, right_mass in other._masses.items():
-                meet = left.intersection(right)
-                if meet is not None:
+                meet = left & right
+                if meet:
                     buckets.setdefault(meet, []).append(left_mass * right_mass)
-        sums = {focal: math.fsum(products) for focal, products in buckets.items()}
+        sums = {mask: math.fsum(products) for mask, products in buckets.items()}
         surviving = math.fsum(sums.values())
         if surviving <= MASS_FLOOR:
             raise TotalConflict(
                 f"conflict leaves surviving mass {surviving:.12g}, nothing to normalize"
             )
-        kept = {focal: mass for focal, mass in sums.items() if mass >= MASS_FLOOR * surviving}
+        kept = {mask: mass for mask, mass in sums.items() if mass >= MASS_FLOOR * surviving}
         total = math.fsum(kept.values())
-        return DNumber(self._frame, {focal: mass / total for focal, mass in kept.items()})
+        return DNumber._of(self._frame, {mask: mass / total for mask, mass in kept.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DNumber):
@@ -248,10 +262,7 @@ class DNumber:
     __hash__ = None  # mass maps are float-valued; hashing would mislead
 
     def __repr__(self) -> str:
-        ordered = sorted(
-            self._masses.items(), key=lambda kv: focal_sort_key(self._frame, kv[0])
-        )
-        inside = ", ".join(f"{focal}: {mass:.6g}" for focal, mass in ordered)
+        inside = ", ".join(f"{focal}: {mass:.6g}" for focal, mass in self.masses.items())
         return f"DNumber({inside or 'empty'})"
 
 

@@ -1,6 +1,7 @@
 """Exception types raised by the dnfusion package, and its one number check."""
 
 import math
+import reprlib
 
 
 class DnfusionError(Exception):
@@ -43,7 +44,7 @@ def _as_finite(value: object, name: object) -> float:
     fails, so a caller on a hot path can pass an object instead of a string.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
+        raise ValueError(f"{name}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:

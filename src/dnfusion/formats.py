@@ -10,6 +10,7 @@ the whole file.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _as_array(value: object, where: str) -> list:
 
 def _as_string(value: object, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{where}: expected a non-empty string, got {value!r}")
+        raise ValidationError(f"{where}: expected a non-empty string, got {reprlib.repr(value)}")
     return value
 
 

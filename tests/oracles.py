@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dnfusion import DNumber, TrapezoidalFuzzyNumber
+from dnfusion import DNumber, FocalElement, TrapezoidalFuzzyNumber
 
 try:
     from numba import njit
@@ -131,11 +131,13 @@ def rational_combine(d1: DNumber, d2: DNumber) -> dict | None:
     for left, left_mass in d1.masses.items():
         for right, right_mass in d2.masses.items():
             product = Fraction(left_mass) * Fraction(right_mass)
-            meet = left.intersection(right)
-            if meet is None:
-                conflict += product
-            else:
+            # the meet of two label sets, kept in the left operand's frame order
+            common = tuple(label for label in left.labels if label in right.labels)
+            if common:
+                meet = FocalElement(common)
                 products[meet] = products.get(meet, Fraction(0)) + product
+            else:
+                conflict += product
     remaining = 1 - conflict
     if remaining <= TOTAL_CONFLICT_THRESHOLD:
         return None

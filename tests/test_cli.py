@@ -153,6 +153,16 @@ class TestEpsilon:
         assert err.startswith("error:")
         assert "odd" in err
 
+    def test_deeply_nested_label_gives_a_short_error(self, capsys, tmp_path):
+        nested = [[]]
+        for _ in range(500):
+            nested = [nested]
+        granule = {"label": nested, "shape": [0, 1, 2, 3]}
+        path = write_json(tmp_path, "g.json", {"granules": [granule]})
+        code, _, err = run(capsys, "epsilon", path)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and len(err) < 200
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "epsilon", str(tmp_path / "none.json"))
         assert code == EXIT_INPUT
@@ -404,6 +414,20 @@ class TestBatch:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_deeply_nested_value_gives_a_short_row_error(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        nested = "[" * 500 + "]" * 500
+        path.write_text(
+            '[{"id": "bad", "breaks": %s, "pressure": 0, "distance": 3},'
+            ' {"id": "ok", "breaks": 10, "pressure": 0, "distance": 3}]' % nested,
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == EXIT_OK
+        bad_line, good_line = out.splitlines()[1:]
+        assert "error:" in bad_line and len(bad_line) < 200
+        assert "error:" not in good_line and good_line.endswith("NP")
+
     def test_output_is_deterministic(self, capsys, six_scenarios_file):
         _, first, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
         _, second, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
@@ -413,16 +437,12 @@ class TestBatch:
 class TestRoundTrip:
     def test_fuse_json_matches_library_rounding(self, capsys, pair_file, expert_pair):
         from dnfusion import combine_all
-        from dnfusion.dnumber import focal_sort_key
 
         _, out, _ = run(capsys, "fuse", pair_file, "--epsilon", "0.042", "--format", "json")
         payload = json.loads(out)
         fused = combine_all([d.discount(0.042) for d in expert_pair])
         expected = [
-            {"focal": list(f.labels), "value": round(m, 4)}
-            for f, m in sorted(
-                fused.masses.items(), key=lambda kv: focal_sort_key(fused.frame, kv[0])
-            )
+            {"focal": list(f.labels), "value": round(m, 4)} for f, m in fused.masses.items()
         ]
         assert payload["masses"] == expected
 
@@ -436,6 +456,13 @@ class TestEntryPoints:
 
     def test_no_arguments(self, capsys):
         assert cli.main([]) == EXIT_INPUT
+
+    def test_a_rebound_command_is_the_one_called(self, capsys, monkeypatch):
+        assert cli.main(["assess", "--breaks", "10", "--pressure", "0", "--distance", "3"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_assess", lambda args: seen.append(args.breaks) or EXIT_OK)
+        assert cli.main(["assess", "--breaks", "4", "--pressure", "0", "--distance", "3"]) == 0
+        assert seen == [4.0]
 
     def test_module_invocation(self):
         result = subprocess.run(

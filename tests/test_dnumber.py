@@ -64,18 +64,6 @@ class TestFrame:
 
 
 class TestFocalElement:
-    def test_intersection_overlap(self, score_frame):
-        left = score_frame.focal(("low", "fairly low"))
-        right = score_frame.focal(("fairly low", "medium"))
-        assert left.intersection(right) == score_frame.focal(("fairly low",))
-
-    def test_intersection_empty_is_none(self):
-        assert PN.focal("P").intersection(PN.focal("NP")) is None
-
-    def test_intersection_with_theta(self, score_frame):
-        focal = score_frame.focal(("medium",))
-        assert score_frame.theta.intersection(focal) == focal
-
     def test_str_lists_labels(self, score_frame):
         assert str(score_frame.focal(("high", "medium"))) == "{medium, high}"
 
@@ -113,6 +101,11 @@ class TestConstruction:
     def test_prunes_dust(self):
         d = DNumber(PN, {"P": 0.5, "NP": 1e-15})
         assert PN.focal("NP") not in d.masses
+
+    @pytest.mark.parametrize("build", [DNumber, DNumber.vacuous])
+    def test_frame_must_be_a_frame(self, build):
+        with pytest.raises(ValueError, match="must be a Frame"):
+            build(("P", "NP"))
 
     def test_empty_mass_map_allowed(self):
         assert DNumber(PN).completeness() == 0.0

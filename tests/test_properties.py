@@ -257,6 +257,25 @@ class TestDiscountProperties:
                     assert discounted.masses[focal] == expected
 
 
+class TestDerivedResults:
+    """discount, combine and normalize_incomplete build their results unchecked."""
+
+    @given(dnumber_group(2), st.floats(0.0, 1.0), st.floats(0.1, 1.0))
+    def test_results_pass_the_public_constructor(self, pair, epsilon, scale):
+        d1, d2 = pair
+        shrunk = DNumber(d1.frame, {f: m * scale for f, m in d1.masses.items()})
+        results = [shrunk.normalize_incomplete(), d1.discount(epsilon)]
+        try:
+            results.append(d1.discount(epsilon).combine(d2))
+        except TotalConflict:
+            pass
+        for d in results:
+            assert DNumber(d.frame, d.masses) == d
+            assert d.is_complete()
+            positions = [[d.frame.labels.index(label) for label in f.labels] for f in d.masses]
+            assert positions == sorted(positions)
+
+
 class TestNormalization:
     @given(dnumber_group(1), st.floats(min_value=0.1, max_value=1.0))
     def test_missing_mass_moves_to_full_frame(self, single, scale):

@@ -75,7 +75,7 @@ def relative_matrix(granulation: Granulation) -> RelativeMatrix:
             degree = non_exclusive_degree(shapes[i], shapes[j])
             rows[i][j] = degree
             rows[j][i] = degree
-    return RelativeMatrix(granulation.labels, tuple(tuple(row) for row in rows))
+    return RelativeMatrix(granulation.labels, rows)
 
 
 def exclusive_coefficient(matrix: RelativeMatrix) -> float:

@@ -59,22 +59,10 @@ class TrapezoidalFuzzyNumber:
         return 0.5 * ((self.d - self.a) + (self.c - self.b))
 
 
-def _pieces(t: TrapezoidalFuzzyNumber) -> list[tuple[float, float, float, float]]:
-    # Nonzero-width linear pieces of the membership graph as (x0, x1, y0, y1).
-    out = []
-    if t.b > t.a:
-        out.append((t.a, t.b, 0.0, 1.0))
-    if t.c > t.b:
-        out.append((t.b, t.c, 1.0, 1.0))
-    if t.d > t.c:
-        out.append((t.c, t.d, 1.0, 0.0))
-    return out
-
-
 def _crossing(
     p: tuple[float, float, float, float], q: tuple[float, float, float, float]
 ) -> float | None:
-    # Interior intersection point of two linear pieces, if one exists. The
+    # Interior intersection point of two sloped edges, if one exists. The
     # formula negates both numerator and denominator under an argument swap,
     # so the computed point is bit-identical either way.
     px0, px1, py0, py1 = p
@@ -94,6 +82,7 @@ def _crossing(
 
 
 def _grid(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> list[float]:
+    # the union area is at most this span; past float range, fsum would overflow
     span = max(t1.d, t2.d) - min(t1.a, t2.a)
     if not math.isfinite(span):
         raise ValueError(f"joint support of {t1} and {t2} overflows")
@@ -103,8 +92,13 @@ def _grid(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> list[float]
     # on which both memberships are still linear, so the midpoint rule in
     # _envelope_areas stays exact there.
     grid = {t1.a, t1.b, t1.c, t1.d, t2.a, t2.b, t2.c, t2.d}
-    for p in _pieces(t1):
-        for q in _pieces(t2):
+    # Only sloped edges need crossing: a plateau or the zero line meets a
+    # sloped edge only at that edge's own end, and that end is a breakpoint.
+    # A zero-width edge fails _crossing's overlap test before any division.
+    edges1 = ((t1.a, t1.b, 0.0, 1.0), (t1.c, t1.d, 1.0, 0.0))
+    edges2 = ((t2.a, t2.b, 0.0, 1.0), (t2.c, t2.d, 1.0, 0.0))
+    for p in edges1:
+        for q in edges2:
             x = _crossing(p, q)
             if x is not None:
                 grid.add(x)
@@ -122,7 +116,8 @@ def _envelope_areas(
     highs: list[float] = []
     for x0, x1 in pairwise(grid):
         width = x1 - x0
-        mid = 0.5 * (x0 + x1)
+        # x0 + x1 can overflow near float max; halving each end first cannot
+        mid = 0.5 * x0 + 0.5 * x1
         f = t1.membership(mid)
         g = t2.membership(mid)
         if f <= g:

@@ -194,9 +194,6 @@ class RiskTriple:
         if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"risk masses must sum to 1, got {total!r}")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p, self.p_np, self.np)
-
 
 def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:
     """Read the body's curves at ``value`` and normalize memberships into masses.

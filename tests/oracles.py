@@ -14,92 +14,58 @@ import numpy as np
 
 from dnfusion import DNumber, FocalElement, TrapezoidalFuzzyNumber
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 RIEMANN_INTERVALS = 1_000_000
 # Surviving mass at or below which DNumber.combine reports total conflict:
 # its MASS_FLOOR.
 TOTAL_CONFLICT_THRESHOLD = Fraction(1e-12)
 
-if _HAVE_NUMBA:
+# Points per block: large enough that per-call overhead stays small, small
+# enough that the few scratch buffers stay in cache instead of allocating
+# eight-megabyte temporaries for every call.
+_BLOCK = 1 << 15
 
-    @njit(cache=True)
-    def _minmax_sums(a1, b1, c1, d1, a2, b2, c2, d2, lo, hi, n):
-        width = hi - lo
-        smin = 0.0
-        smax = 0.0
-        for i in range(n):
-            x = lo + width * ((i + 0.5) / n)
-            rise = (x - a1) / (b1 - a1) if b1 > a1 else (1.0 if x >= a1 else -1.0)
-            fall = (d1 - x) / (d1 - c1) if d1 > c1 else (1.0 if x <= d1 else -1.0)
-            f = min(rise, 1.0, fall)
-            if f < 0.0:
-                f = 0.0
-            rise = (x - a2) / (b2 - a2) if b2 > a2 else (1.0 if x >= a2 else -1.0)
-            fall = (d2 - x) / (d2 - c2) if d2 > c2 else (1.0 if x <= d2 else -1.0)
-            g = min(rise, 1.0, fall)
-            if g < 0.0:
-                g = 0.0
-            if f <= g:
-                smin += f
-                smax += g
-            else:
-                smin += g
-                smax += f
-        cell = width / n
-        return smin * cell, smax * cell
 
-else:
-    # Points per block: large enough that per-call overhead stays small, small
-    # enough that the few scratch buffers stay in cache instead of allocating
-    # eight-megabyte temporaries for every call.
-    _BLOCK = 1 << 15
+def _clipped_memberships(a, b, c, d, x, out, tmp):
+    # min(rise, 1, fall) clipped at 0, written into ``out``. A zero-width
+    # edge is +1 on its flat side and -1 beyond: an exact zero difference
+    # is +0.0, whose sign is positive.
+    np.subtract(x, a, out=out)
+    if b > a:
+        np.divide(out, b - a, out=out)
+    else:
+        np.copysign(1.0, out, out=out)
+    np.subtract(d, x, out=tmp)
+    if d > c:
+        np.divide(tmp, d - c, out=tmp)
+    else:
+        np.copysign(1.0, tmp, out=tmp)
+    np.minimum(out, tmp, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
 
-    def _clipped_memberships(a, b, c, d, x, out, tmp):
-        # min(rise, 1, fall) clipped at 0, written into ``out``. A zero-width
-        # edge is +1 on its flat side and -1 beyond: an exact zero difference
-        # is +0.0, whose sign is positive.
-        np.subtract(x, a, out=out)
-        if b > a:
-            np.divide(out, b - a, out=out)
-        else:
-            np.copysign(1.0, out, out=out)
-        np.subtract(d, x, out=tmp)
-        if d > c:
-            np.divide(tmp, d - c, out=tmp)
-        else:
-            np.copysign(1.0, tmp, out=tmp)
-        np.minimum(out, tmp, out=out)
-        np.clip(out, 0.0, 1.0, out=out)
 
-    def _minmax_sums(a1, b1, c1, d1, a2, b2, c2, d2, lo, hi, n):
-        width = hi - lo
-        size = min(n, _BLOCK)
-        offsets = np.arange(size, dtype=np.float64)
-        x, f, g, tmp = (np.empty(size) for _ in range(4))
-        smin = 0.0
-        smax = 0.0
-        for start in range(0, n, size):
-            m = min(size, n - start)
-            xs, fs, gs, ts = x[:m], f[:m], g[:m], tmp[:m]
-            # x_i = lo + width * ((i + 0.5) / n), i = start + offset
-            np.add(offsets[:m], start + 0.5, out=xs)
-            np.divide(xs, n, out=xs)
-            np.multiply(xs, width, out=xs)
-            np.add(xs, lo, out=xs)
-            _clipped_memberships(a1, b1, c1, d1, xs, fs, ts)
-            _clipped_memberships(a2, b2, c2, d2, xs, gs, ts)
-            np.minimum(fs, gs, out=ts)
-            smin += float(ts.sum())
-            np.maximum(fs, gs, out=ts)
-            smax += float(ts.sum())
-        cell = width / n
-        return smin * cell, smax * cell
+def _minmax_sums(a1, b1, c1, d1, a2, b2, c2, d2, lo, hi, n):
+    width = hi - lo
+    size = min(n, _BLOCK)
+    offsets = np.arange(size, dtype=np.float64)
+    x, f, g, tmp = (np.empty(size) for _ in range(4))
+    smin = 0.0
+    smax = 0.0
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        xs, fs, gs, ts = x[:m], f[:m], g[:m], tmp[:m]
+        # x_i = lo + width * ((i + 0.5) / n), i = start + offset
+        np.add(offsets[:m], start + 0.5, out=xs)
+        np.divide(xs, n, out=xs)
+        np.multiply(xs, width, out=xs)
+        np.add(xs, lo, out=xs)
+        _clipped_memberships(a1, b1, c1, d1, xs, fs, ts)
+        _clipped_memberships(a2, b2, c2, d2, xs, gs, ts)
+        np.minimum(fs, gs, out=ts)
+        smin += float(ts.sum())
+        np.maximum(fs, gs, out=ts)
+        smax += float(ts.sum())
+    cell = width / n
+    return smin * cell, smax * cell
 
 
 def riemann_envelope_areas(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnfusion import cli
+from dnfusion import TrapezoidalFuzzyNumber, cli, non_exclusive_degree
 from dnfusion.cli import EXIT_CONFLICT, EXIT_INPUT, EXIT_OK
 from dnfusion.intrusion import BODY_NAMES, RiskTriple
 
@@ -152,6 +152,18 @@ class TestEpsilon:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "odd" in err
+
+    def test_overflowing_joint_support_is_an_input_error(self, capsys, tmp_path):
+        # each support is finite, but the pair spans more than a float holds
+        left, right = [-1.5e308, -1.5e308, 0, 0], [0, 0, 1.5e308, 1.5e308]
+        with pytest.raises(ValueError, match="joint support"):
+            non_exclusive_degree(TrapezoidalFuzzyNumber(*left), TrapezoidalFuzzyNumber(*right))
+        granules = [{"label": "l", "shape": left}, {"label": "r", "shape": right}]
+        path = write_json(tmp_path, "g.json", {"granules": granules})
+        code, out, err = run(capsys, "epsilon", path)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deeply_nested_label_gives_a_short_error(self, capsys, tmp_path):
         nested = [[]]

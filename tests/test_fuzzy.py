@@ -192,6 +192,22 @@ class TestEnvelopeAreas:
         assert s1 == pytest.approx(s0, abs=1e-12)
         assert u1 == pytest.approx(u0, abs=1e-12)
 
+    def test_power_of_two_scaling_is_exact_near_float_max(self):
+        # both ends of an interval past half of float max: a midpoint taken as
+        # 0.5 * (x0 + x1) would overflow to inf, where membership reads 0
+        scale = 2.0**1023
+        pairs = [
+            ((1.0, 1.2, 1.5, 1.6), (1.1, 1.3, 1.4, 1.7)),
+            ((0.5, 0.6, 0.8, 1.0), (0.55, 0.7, 0.9, 1.1)),
+        ]
+        for p, q in pairs:
+            t1, t2 = TrapezoidalFuzzyNumber(*p), TrapezoidalFuzzyNumber(*q)
+            big1 = TrapezoidalFuzzyNumber(*(x * scale for x in p))
+            big2 = TrapezoidalFuzzyNumber(*(x * scale for x in q))
+            assert intersection_area(big1, big2) == intersection_area(t1, t2) * scale
+            assert union_area(big1, big2) == union_area(t1, t2) * scale
+            assert non_exclusive_degree(big1, big2) == non_exclusive_degree(t1, t2)
+
 
 class TestNonExclusiveDegree:
     def test_adjacent_scale_pairs(self):

@@ -163,9 +163,6 @@ class TestRiskTriple:
         with pytest.raises(ValueError, match="lie in"):
             RiskTriple(1.4, -0.4, 0.0)
 
-    def test_as_tuple(self):
-        assert RiskTriple(0.2, 0.3, 0.5).as_tuple() == (0.2, 0.3, 0.5)
-
 
 class TestDefaultModel:
     def test_configured_epsilons(self):
@@ -227,7 +224,7 @@ class TestAssessRisk:
         model = default_model()
         for scenario in [Scenario(10, 0, 3), Scenario(22, 7, 11), Scenario(0, -60, 0)]:
             triple = assess_risk(scenario, model)
-            assert sum(triple.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+            assert triple.p + triple.p_np + triple.np == pytest.approx(1.0, abs=1e-9)
 
     def test_closer_source_never_lowers_intrusion_mass(self):
         model = default_model()

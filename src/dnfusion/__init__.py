@@ -13,12 +13,7 @@ from .errors import (
 )
 from .exclusivity import Granulation, RelativeMatrix, exclusive_coefficient, relative_matrix
 from .formats import ScenarioRow, load_dnumbers, load_granulation, load_model, load_scenarios
-from .fuzzy import (
-    TrapezoidalFuzzyNumber,
-    intersection_area,
-    non_exclusive_degree,
-    union_area,
-)
+from .fuzzy import TrapezoidalFuzzyNumber, non_exclusive_degree
 from .intrusion import (
     INTRUSION_FRAME,
     Curve,
@@ -58,9 +53,7 @@ __all__ = [
     "load_model",
     "load_scenarios",
     "TrapezoidalFuzzyNumber",
-    "intersection_area",
     "non_exclusive_degree",
-    "union_area",
     "INTRUSION_FRAME",
     "Curve",
     "EpsilonMismatchWarning",

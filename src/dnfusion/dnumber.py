@@ -46,9 +46,6 @@ class FocalElement:
         if not self.labels:
             raise ValueError("focal element cannot be empty")
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __str__(self) -> str:
         return "{" + ", ".join(self.labels) + "}"
 
@@ -71,14 +68,8 @@ class Frame:
                 raise ValueError(f"duplicate frame label {label!r}")
             seen.add(label)
 
-    def __contains__(self, label: object) -> bool:
-        return label in self.labels
-
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
 
     @property
     def theta(self) -> FocalElement:
@@ -150,7 +141,7 @@ class DNumber:
 
     @classmethod
     def _of(cls, frame: Frame, masses: dict[int, float]) -> DNumber:
-        """This class's own results: masks as given, dust dropped, nothing re-checked."""
+        """The package's own results: masks as given, dust dropped, nothing re-checked."""
         d = object.__new__(cls)
         object.__setattr__(d, "_frame", frame)
         object.__setattr__(d, "_masses", {m: v for m, v in masses.items() if v >= MASS_FLOOR})

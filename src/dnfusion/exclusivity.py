@@ -45,9 +45,6 @@ class Granulation:
     def __len__(self) -> int:
         return len(self.granules)
 
-    def __iter__(self):
-        return iter(self.granules)
-
 
 @dataclass(frozen=True)
 class RelativeMatrix:

@@ -215,15 +215,17 @@ def load_scenarios(path: str | Path) -> list[ScenarioRow]:
     """Read a JSON array of ``{"id", "breaks", "pressure", "distance"}`` rows.
 
     Problems local to one row (missing or non-finite numbers, a missing id)
-    come back as inline errors on that row. Duplicate ids fail the whole file,
-    since later output could not be attributed.
+    come back as inline errors on that row. A row without a usable id shows as
+    ``#n``, its position in the file. Only ids read from the file must be
+    unique: a duplicate fails the whole file, since later output could not be
+    attributed.
     """
     raw = _as_array(_load_json(path), str(path))
     rows: list[ScenarioRow] = []
     seen_ids: set[str] = set()
     for i, entry in enumerate(raw):
         where = f"scenarios[{i}]"
-        row_id = f"#{i + 1}"
+        row_id = None
         scenario = None
         error = None
         try:
@@ -239,8 +241,11 @@ def load_scenarios(path: str | Path) -> list[ScenarioRow]:
             error = str(exc)
         except ValueError as exc:
             error = f"{where}: {exc}"
-        if row_id in seen_ids:
+        if row_id is None:
+            row_id = f"#{i + 1}"  # a stand-in position, not an id from the file
+        elif row_id in seen_ids:
             raise ValidationError(f"{where}: duplicate id {row_id!r}")
-        seen_ids.add(row_id)
+        else:
+            seen_ids.add(row_id)
         rows.append(ScenarioRow(row_id, scenario, error))
     return rows

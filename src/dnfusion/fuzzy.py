@@ -8,12 +8,7 @@ from itertools import pairwise
 
 from .errors import UndefinedDegree, _as_finite
 
-__all__ = [
-    "TrapezoidalFuzzyNumber",
-    "intersection_area",
-    "union_area",
-    "non_exclusive_degree",
-]
+__all__ = ["TrapezoidalFuzzyNumber", "non_exclusive_degree"]
 
 
 @dataclass(frozen=True)
@@ -127,16 +122,6 @@ def _envelope_areas(
             lows.append(width * g)
             highs.append(width * f)
     return math.fsum(lows), math.fsum(highs)
-
-
-def intersection_area(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> float:
-    """Integral of the pointwise minimum of the two membership functions."""
-    return _envelope_areas(t1, t2)[0]
-
-
-def union_area(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> float:
-    """Integral of the pointwise maximum of the two membership functions."""
-    return _envelope_areas(t1, t2)[1]
 
 
 def non_exclusive_degree(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> float:

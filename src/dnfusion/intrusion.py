@@ -211,7 +211,8 @@ def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:
     total = math.fsum(weights.values())
     if total <= 0.0:
         return DNumber.vacuous(INTRUSION_FRAME)
-    return DNumber(INTRUSION_FRAME, {focal: mu / total for focal, mu in weights.items()})
+    mask = INTRUSION_FRAME._mask
+    return DNumber._of(INTRUSION_FRAME, {mask(focal): mu / total for focal, mu in weights.items()})
 
 
 def assess_risk(scenario: Scenario, model: IntrusionModel) -> RiskTriple:

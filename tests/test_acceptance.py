@@ -19,10 +19,9 @@ from dnfusion import (
     cli,
     combine_all,
     exclusive_coefficient,
-    intersection_area,
     relative_matrix,
-    union_area,
 )
+from dnfusion.fuzzy import _envelope_areas
 from dnfusion.scales import five_level_scale
 
 from generators import (
@@ -194,8 +193,7 @@ def test_criterion_6_property_suites(capsys):
         for _ in range(cases):
             t1 = random_trapezoid(rng)
             t2 = random_trapezoid(rng)
-            s = intersection_area(t1, t2)
-            u = union_area(t1, t2)
+            s, u = _envelope_areas(t1, t2)
             assert abs(s + u - (t1.area() + t2.area())) <= 1e-12
 
         rng = random.Random(60002)
@@ -203,8 +201,9 @@ def test_criterion_6_property_suites(capsys):
             t1 = smooth_trapezoid(rng)
             t2 = smooth_trapezoid(rng)
             s_ref, u_ref = riemann_envelope_areas(t1, t2)
-            assert abs(intersection_area(t1, t2) - s_ref) <= 1e-6
-            assert abs(union_area(t1, t2) - u_ref) <= 1e-6
+            s, u = _envelope_areas(t1, t2)
+            assert abs(s - s_ref) <= 1e-6
+            assert abs(u - u_ref) <= 1e-6
 
         rng = random.Random(60003)
         done = 0

@@ -27,7 +27,7 @@ def scale_file(tmp_path, scale):
     doc = {
         "granules": [
             {"label": label, "shape": [shape.a, shape.b, shape.c, shape.d]}
-            for label, shape in scale
+            for label, shape in scale.granules
         ]
     }
     path = tmp_path / "scale.json"
@@ -417,6 +417,22 @@ class TestBatch:
         code, _, err = run(capsys, "batch", path)
         assert code == EXIT_INPUT
         assert "duplicate id" in err
+
+    @pytest.mark.parametrize("valid_first", [True, False], ids=["valid_first", "valid_last"])
+    def test_a_stand_in_id_is_no_duplicate(self, capsys, tmp_path, valid_first):
+        # the row without an id shows as its position, which the valid row's id repeats
+        no_id = {"breaks": 10, "pressure": 0, "distance": 3}
+        valid = dict(no_id, id="#2" if valid_first else "#1")
+        rows = [valid, no_id] if valid_first else [no_id, valid]
+        path = write_json(tmp_path, "s.json", rows)
+        code, out, err = run(capsys, "batch", path, "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        payload = json.loads(out)
+        good, bad = payload if valid_first else payload[::-1]
+        assert good["id"] == bad["id"] == valid["id"]
+        assert good["verdict"] == "NP"
+        assert bad["error"] == f"scenarios[{1 if valid_first else 0}]: missing id"
 
     def test_deeply_nested_file_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "s.json"

@@ -25,7 +25,7 @@ class TestGranulation:
         assert scale.shapes[0] == T(0.04, 0.10, 0.18, 0.23)
 
     def test_iterates_pairs(self, scale):
-        pairs = list(scale)
+        pairs = list(scale.granules)
         assert pairs[0] == ("low", T(0.04, 0.10, 0.18, 0.23))
 
     def test_rejects_empty(self):
@@ -108,7 +108,7 @@ class TestExclusiveCoefficient:
 
     def test_permutation_invariant(self, scale):
         eps = exclusive_coefficient(relative_matrix(scale))
-        pairs = list(scale)
+        pairs = list(scale.granules)
         rng = random.Random(7)
         for _ in range(10):
             rng.shuffle(pairs)
@@ -118,7 +118,7 @@ class TestExclusiveCoefficient:
     def test_disjoint_granule_strictly_decreases(self, scale):
         eps = exclusive_coefficient(relative_matrix(scale))
         assert eps > 0.0
-        extended = Granulation(tuple(scale) + (("beyond", T(5.0, 6.0, 7.0, 8.0)),))
+        extended = Granulation(scale.granules + (("beyond", T(5.0, 6.0, 7.0, 8.0)),))
         extended_eps = exclusive_coefficient(relative_matrix(extended))
         # same overlap total spread over 15 pairs instead of 10
         assert extended_eps < eps

@@ -11,17 +11,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dnfusion import (
+    Curve,
     DNumber,
+    EvidenceBody,
     Frame,
     TotalConflict,
     TrapezoidalFuzzyNumber,
+    evidence_to_dnumber,
     exclusive_coefficient,
-    intersection_area,
     non_exclusive_degree,
     relative_matrix,
-    union_area,
 )
+from dnfusion.dnumber import MASS_FLOOR
 from dnfusion.exclusivity import Granulation
+from dnfusion.fuzzy import _envelope_areas
+from dnfusion.intrusion import NOT_POSSIBLE, POSSIBLE, UNKNOWN
 from dnfusion.scales import five_level_scale
 
 from generators import smooth_trapezoid
@@ -85,14 +89,12 @@ def dnumber_group(draw, count, max_labels=4):
 class TestEnvelopeProperties:
     @given(trapezoids(), trapezoids())
     def test_inclusion_exclusion(self, t1, t2):
-        s = intersection_area(t1, t2)
-        u = union_area(t1, t2)
+        s, u = _envelope_areas(t1, t2)
         assert s + u == pytest.approx(t1.area() + t2.area(), abs=1e-12)
 
     @given(trapezoids(), trapezoids())
     def test_bounds(self, t1, t2):
-        s = intersection_area(t1, t2)
-        u = union_area(t1, t2)
+        s, u = _envelope_areas(t1, t2)
         assert 0.0 <= s <= min(t1.area(), t2.area()) + 1e-12
         assert max(t1.area(), t2.area()) - 1e-12 <= u <= t1.area() + t2.area() + 1e-12
 
@@ -108,16 +110,12 @@ class TestEnvelopeProperties:
         t2=TrapezoidalFuzzyNumber(0.0, 0.3, 3.3, 3.3),
     )
     def test_argument_order_is_irrelevant(self, t1, t2):
-        assert intersection_area(t1, t2) == intersection_area(t2, t1)
-        assert union_area(t1, t2) == union_area(t2, t1)
+        assert _envelope_areas(t1, t2) == _envelope_areas(t2, t1)
 
     @given(trapezoids(), trapezoids(), st.floats(min_value=-100.0, max_value=100.0))
     def test_translation_invariance(self, t1, t2, offset):
-        before = intersection_area(t1, t2), union_area(t1, t2)
-        after = (
-            intersection_area(shifted(t1, offset), shifted(t2, offset)),
-            union_area(shifted(t1, offset), shifted(t2, offset)),
-        )
+        before = _envelope_areas(t1, t2)
+        after = _envelope_areas(shifted(t1, offset), shifted(t2, offset))
         assert after[0] == pytest.approx(before[0], abs=1e-12)
         assert after[1] == pytest.approx(before[1], abs=1e-12)
 
@@ -156,9 +154,10 @@ class TestEnvelopeProperties:
         rng = random.Random(seed)
         t1 = smooth_trapezoid(rng)
         t2 = smooth_trapezoid(rng)
-        s, u = riemann_envelope_areas(t1, t2)
-        assert intersection_area(t1, t2) == pytest.approx(s, abs=1e-6)
-        assert union_area(t1, t2) == pytest.approx(u, abs=1e-6)
+        s_ref, u_ref = riemann_envelope_areas(t1, t2)
+        s, u = _envelope_areas(t1, t2)
+        assert s == pytest.approx(s_ref, abs=1e-6)
+        assert u == pytest.approx(u_ref, abs=1e-6)
 
 
 class TestExclusivityProperties:
@@ -257,8 +256,31 @@ class TestDiscountProperties:
                     assert discounted.masses[focal] == expected
 
 
+@st.composite
+def body_and_value(draw):
+    shapes = draw(st.lists(trapezoids(), min_size=1, max_size=5))
+    focals = draw(
+        st.lists(
+            st.sampled_from((POSSIBLE, UNKNOWN, NOT_POSSIBLE)),
+            min_size=len(shapes),
+            max_size=len(shapes),
+        )
+    )
+    curves = tuple(Curve(f"c{i}", f, t) for i, (f, t) in enumerate(zip(focals, shapes)))
+    breakpoints = [x for t in shapes for x in (t.a, t.b, t.c, t.d)]
+    value = draw(st.one_of(st.sampled_from(breakpoints), st.floats(-60.0, 60.0)))
+    return EvidenceBody("pathway", "u", curves, 0.1), value
+
+
 class TestDerivedResults:
-    """discount, combine and normalize_incomplete build their results unchecked."""
+    """The package builds these results unchecked; the public constructor must accept them."""
+
+    @staticmethod
+    def assert_as_constructed(d):
+        assert DNumber(d.frame, d.masses) == d
+        assert d.is_complete()
+        positions = [[d.frame.labels.index(label) for label in f.labels] for f in d.masses]
+        assert positions == sorted(positions)
 
     @given(dnumber_group(2), st.floats(0.0, 1.0), st.floats(0.1, 1.0))
     def test_results_pass_the_public_constructor(self, pair, epsilon, scale):
@@ -270,10 +292,37 @@ class TestDerivedResults:
         except TotalConflict:
             pass
         for d in results:
-            assert DNumber(d.frame, d.masses) == d
-            assert d.is_complete()
-            positions = [[d.frame.labels.index(label) for label in f.labels] for f in d.masses]
-            assert positions == sorted(positions)
+            self.assert_as_constructed(d)
+
+    @given(body_and_value())
+    # the {P, NP} curve reads about 4e-209 here, dust that both constructors drop
+    @example(
+        drawn=(
+            EvidenceBody(
+                "pathway",
+                "u",
+                (
+                    Curve("c0", POSSIBLE, TrapezoidalFuzzyNumber(-1.0, 0.0, 0.0, 0.0)),
+                    Curve("c1", UNKNOWN, TrapezoidalFuzzyNumber(-1.0, -1.0, -1.0, 0.0)),
+                ),
+                0.1,
+            ),
+            -4.3841553500787e-209,
+        )
+    )
+    def test_evidence_passes_the_public_constructor(self, drawn):
+        body, value = drawn
+        d = evidence_to_dnumber(body, value)
+        self.assert_as_constructed(d)
+        weights = {}
+        for curve in body.curves:
+            mu = curve.shape.membership(value)
+            if mu > 0.0:
+                weights[curve.focal] = weights.get(curve.focal, 0.0) + mu
+        total = sum(weights.values())
+        expected = {f: mu / total for f, mu in weights.items() if mu / total >= MASS_FLOOR}
+        expected = expected or {d.frame.theta: 1.0}
+        assert d.masses == pytest.approx(expected, abs=1e-12)
 
 
 class TestNormalization:

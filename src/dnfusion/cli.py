@@ -6,11 +6,12 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from .dnumber import combine_all
 from .errors import DnfusionError, TotalConflict, ValidationError
 from .exclusivity import exclusive_coefficient, relative_matrix
-from .formats import load_dnumbers, load_granulation, load_model, load_scenarios
+from .formats import ScenarioRow, load_dnumbers, load_granulation, load_model, load_scenarios
 from .intrusion import IntrusionModel, RiskTriple, Scenario, assess_risk, default_model
 
 EXIT_OK = 0
@@ -91,29 +92,33 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def _emit(payload: dict | list, output_format: str, render) -> None:
+    """Print a command's one payload: as JSON, or through its text renderer."""
+    print(json.dumps(payload) if output_format == "json" else render(payload))
+
+
 def cmd_epsilon(args: argparse.Namespace) -> int:
     granulation = load_granulation(args.granulation)
     matrix = relative_matrix(granulation)
-    epsilon = exclusive_coefficient(matrix)
-    if args.format == "json":
-        payload = {
-            "labels": list(matrix.labels),
-            "matrix": [[round(v, 4) for v in row] for row in matrix.values],
-            "epsilon": round(epsilon, 4),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        name_width = max(len(label) for label in matrix.labels)
-        col_width = max(max(len(label) for label in matrix.labels), 6) + 2
-        lines = [
-            " " * name_width + "".join(f"{label:>{col_width}}" for label in matrix.labels)
-        ]
-        for label, row in zip(matrix.labels, matrix.values):
-            cells = "".join(f"{value:>{col_width}.4f}" for value in row)
-            lines.append(f"{label:<{name_width}}{cells}")
-        lines.append(f"epsilon: {epsilon:.4f}")
-        print("\n".join(lines))
+    payload = {
+        "labels": list(matrix.labels),
+        "matrix": [[round(v, 4) for v in row] for row in matrix.values],
+        "epsilon": round(exclusive_coefficient(matrix), 4),
+    }
+    _emit(payload, args.format, _epsilon_text)
     return EXIT_OK
+
+
+def _epsilon_text(payload: dict) -> str:
+    labels = payload["labels"]
+    name_width = max(len(label) for label in labels)
+    col_width = max(name_width, 6) + 2
+    lines = [" " * name_width + "".join(f"{label:>{col_width}}" for label in labels)]
+    for label, row in zip(labels, payload["matrix"]):
+        cells = "".join(f"{value:>{col_width}.4f}" for value in row)
+        lines.append(f"{label:<{name_width}}{cells}")
+    lines.append(f"epsilon: {payload['epsilon']:.4f}")
+    return "\n".join(lines)
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
@@ -124,28 +129,38 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         )
     discounted = [d.normalize_incomplete().discount(args.epsilon) for d in dnumbers]
     fused = combine_all(discounted)
-    masses = fused.masses
-    if args.format == "json":
-        payload = {
-            "frame": list(fused.frame.labels),
-            "epsilon": round(args.epsilon, 4),
-            "masses": [
-                {"focal": list(focal.labels), "value": round(mass, 4)}
-                for focal, mass in masses.items()
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        width = max(len(str(focal)) for focal in masses) + 2
-        lines = [f"fused masses (epsilon = {args.epsilon:.4f}):"]
-        for focal, mass in masses.items():
-            lines.append(f"{str(focal):<{width}}{mass:.4f}")
-        print("\n".join(lines))
+    payload = {
+        "frame": list(fused.frame.labels),
+        "epsilon": round(args.epsilon, 4),
+        "masses": [
+            {"focal": list(focal.labels), "value": round(mass, 4)}
+            for focal, mass in fused.masses.items()
+        ],
+    }
+    _emit(payload, args.format, _fuse_text)
     return EXIT_OK
 
 
+def _fuse_text(payload: dict) -> str:
+    # a focal set as FocalElement.__str__ writes it
+    focals = ["{" + ", ".join(entry["focal"]) + "}" for entry in payload["masses"]]
+    width = max(len(focal) for focal in focals) + 2
+    lines = [f"fused masses (epsilon = {payload['epsilon']:.4f}):"]
+    for focal, entry in zip(focals, payload["masses"]):
+        lines.append(f"{focal:<{width}}{entry['value']:.4f}")
+    return "\n".join(lines)
+
+
 def _model_from_args(args: argparse.Namespace) -> IntrusionModel:
-    return load_model(args.model) if args.model else default_model()
+    if not args.model:
+        return default_model()
+    # one line per warning on every call, not Python's once-per-location report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = load_model(args.model)
+    for warning in caught:
+        print(f"warning: {args.model}: {warning.message}", file=sys.stderr)
+    return model
 
 
 def _verdict(triple: RiskTriple) -> str:
@@ -170,85 +185,58 @@ def _scenario_payload(scenario: Scenario, triple: RiskTriple) -> dict:
 def cmd_assess(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     scenario = Scenario(args.breaks, args.pressure, args.distance)
-    triple = assess_risk(scenario, model)
-    if args.format == "json":
-        print(json.dumps(_scenario_payload(scenario, triple), indent=2))
-    else:
-        print(
-            "risk ({P}, {P,NP}, {NP}): "
-            f"({triple.p:.3f}, {triple.p_np:.3f}, {triple.np:.3f})"
-        )
-        print(f"verdict: {_verdict(triple)}")
+    payload = _scenario_payload(scenario, assess_risk(scenario, model))
+    _emit(payload, args.format, _assess_text)
     return EXIT_OK
+
+
+def _assess_text(payload: dict) -> str:
+    risk = payload["risk"]
+    return (
+        "risk ({P}, {P,NP}, {NP}): "
+        f"({risk['P']:.3f}, {risk['P,NP']:.3f}, {risk['NP']:.3f})\n"
+        f"verdict: {payload['verdict']}"
+    )
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    rows = load_scenarios(args.scenarios)
-    results: list[tuple] = []
-    failures = 0
-    for row in rows:
-        if row.error is not None:
-            results.append((row, None, row.error))
-            failures += 1
-            continue
-        try:
-            triple = assess_risk(row.scenario, model)
-        except TotalConflict as exc:
-            results.append((row, None, f"total conflict: {exc}"))
-            failures += 1
-            continue
-        results.append((row, triple, None))
-
-    if args.format == "json":
-        payload = []
-        for row, triple, error in results:
-            if error is not None:
-                payload.append({"id": row.id, "error": error})
-            else:
-                payload.append({"id": row.id, **_scenario_payload(row.scenario, triple)})
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_batch_table(results))
-
-    if rows and failures == len(rows):
+    payload = [_row_payload(row, model) for row in load_scenarios(args.scenarios)]
+    _emit(payload, args.format, _batch_text)
+    if payload and all("error" in entry for entry in payload):
         return EXIT_INPUT
     return EXIT_OK
 
 
-def _batch_table(results: list[tuple]) -> str:
+def _row_payload(row: ScenarioRow, model: IntrusionModel) -> dict:
+    if row.error is not None:
+        return {"id": row.id, "error": row.error}
+    try:
+        triple = assess_risk(row.scenario, model)
+    except TotalConflict as exc:
+        return {"id": row.id, "error": f"total conflict: {exc}"}
+    return {"id": row.id, **_scenario_payload(row.scenario, triple)}
+
+
+def _batch_text(payload: list[dict]) -> str:
     headers = ("id", "breaks", "pressure", "distance", "P", "P,NP", "NP", "verdict")
-    table_rows = []
-    for row, triple, error in results:
-        if error is not None:
-            table_rows.append((row.id, error))
-        else:
-            scenario = row.scenario
-            table_rows.append(
-                (
-                    row.id,
-                    f"{scenario.breaks:g}",
-                    f"{scenario.pressure:g}",
-                    f"{scenario.distance:g}",
-                    f"{triple.p:.3f}",
-                    f"{triple.p_np:.3f}",
-                    f"{triple.np:.3f}",
-                    _verdict(triple),
-                )
-            )
-    widths = [len(h) for h in headers]
-    for cells in table_rows:
-        if len(cells) == len(headers):
-            for i, cell in enumerate(cells):
-                widths[i] = max(widths[i], len(cell))
-        else:
-            widths[0] = max(widths[0], len(cells[0]))
-    lines = ["  ".join(h.rjust(widths[i]) for i, h in enumerate(headers))]
-    for cells in table_rows:
-        if len(cells) == len(headers):
-            lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(cells)))
-        else:
-            lines.append(f"{cells[0].rjust(widths[0])}  error: {cells[1]}")
+    table = []
+    for entry in payload:
+        if "error" in entry:
+            # an error row has only its id cell, so it widens only that column
+            table.append((entry["id"],))
+            continue
+        scenario = (f"{entry[key]:g}" for key in ("breaks", "pressure", "distance"))
+        risk = (f"{value:.3f}" for value in entry["risk"].values())
+        table.append((entry["id"], *scenario, *risk, entry["verdict"]))
+    widths = [
+        max(len(cells[i]) for cells in (headers, *table) if i < len(cells))
+        for i in range(len(headers))
+    ]
+    lines = ["  ".join(h.rjust(width) for h, width in zip(headers, widths))]
+    for entry, cells in zip(payload, table):
+        line = "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
+        lines.append(f"{line}  error: {entry['error']}" if "error" in entry else line)
     return "\n".join(lines)
 
 

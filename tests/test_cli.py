@@ -97,6 +97,34 @@ CONFLICTED_MODEL = {
 }
 
 
+# The pathway curves are disjoint, so their derived epsilon is 0, not 0.5.
+MISMATCHED_MODEL = {
+    "bodies": [
+        {
+            "name": "pathway",
+            "unit": "breaks/100 km/year",
+            "epsilon": 0.5,
+            "curves": [
+                {"focal": ["NP"], "shape": [0, 0, 14, 26]},
+                {"focal": ["P"], "shape": [32, 38, 55, 60]},
+            ],
+        },
+        {
+            "name": "pressure",
+            "unit": "psi",
+            "epsilon": 0.0,
+            "curves": [{"focal": ["P", "NP"], "shape": [-100, -100, 100, 100]}],
+        },
+        {
+            "name": "source",
+            "unit": "m",
+            "epsilon": 0.0,
+            "curves": [{"focal": ["P", "NP"], "shape": [0, 0, 100, 100]}],
+        },
+    ]
+}
+
+
 class TestEpsilon:
     def test_json_matrix_and_coefficient(self, capsys, scale_file):
         code, out, _ = run(capsys, "epsilon", scale_file, "--format", "json")
@@ -298,6 +326,19 @@ class TestAssess:
         assert code == EXIT_CONFLICT
         assert "error:" in err
 
+    def test_model_epsilon_warning_is_one_line_on_every_call(self, capsys, tmp_path):
+        path = write_json(tmp_path, "m.json", MISMATCHED_MODEL)
+        argv = ["assess", "--breaks", "10", "--pressure", "0", "--distance", "3", "--model", path]
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert out.splitlines()[-1].startswith("verdict:")
+            assert err.count("\n") == 1
+            assert err.startswith(
+                f"warning: {path}: body 'pathway': configured epsilon 0.5000 differs from the "
+                "curve-derived value 0.0000"
+            )
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "assess", "--breaks", "10", "--pressure", "0")
         assert code == EXIT_INPUT
@@ -460,6 +501,107 @@ class TestBatch:
         _, first, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
         _, second, _ = run(capsys, "batch", six_scenarios_file, "--format", "json")
         assert first == second
+
+
+@pytest.fixture
+def mixed_batch_file(tmp_path):
+    rows = [
+        {"id": "s1", "breaks": 10, "pressure": 0, "distance": 3},
+        {"id": "a-much-longer-row-id", "breaks": 10, "pressure": 0},
+        {"id": "s6", "breaks": 30, "pressure": -20, "distance": 3},
+        {"id": "s7", "breaks": 12.5, "pressure": 0.25, "distance": 1500},
+    ]
+    return write_json(tmp_path, "mixed.json", rows)
+
+
+class TestOutputFormats:
+    def test_json_is_one_line(self, capsys, scale_file, pair_file, six_scenarios_file):
+        for argv in (
+            ["epsilon", scale_file],
+            ["fuse", pair_file, "--epsilon", "0.042"],
+            ["assess", "--breaks", "10", "--pressure", "0", "--distance", "3"],
+            ["batch", six_scenarios_file],
+        ):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK
+            assert out.count("\n") == 1 and out.endswith("\n"), argv
+            json.loads(out)
+
+    @staticmethod
+    def both(capsys, *argv):
+        code, text, err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (json_code, json_err)
+        return text.splitlines(), json.loads(out)
+
+    def test_epsilon_text_shows_the_json_values(self, capsys, scale_file):
+        lines, payload = self.both(capsys, "epsilon", scale_file)
+        labels = payload["labels"]
+        assert lines[0].split() == " ".join(labels).split()
+        assert len(lines) == len(labels) + 2
+        for line, label, row in zip(lines[1:], labels, payload["matrix"]):
+            assert line.startswith(label)
+            assert line[len(label) :].split() == [f"{value:.4f}" for value in row]
+        assert lines[-1] == f"epsilon: {payload['epsilon']:.4f}"
+
+    def test_fuse_text_shows_the_json_values(self, capsys, pair_file):
+        lines, payload = self.both(capsys, "fuse", pair_file, "--epsilon", "0.042")
+        assert lines[0] == f"fused masses (epsilon = {payload['epsilon']:.4f}):"
+        assert len(lines) == len(payload["masses"]) + 1
+        for line, entry in zip(lines[1:], payload["masses"]):
+            focal, value = line.rsplit(maxsplit=1)
+            assert focal == "{" + ", ".join(entry["focal"]) + "}"
+            assert value == f"{entry['value']:.4f}"
+
+    def test_assess_text_shows_the_json_values(self, capsys):
+        argv = ("assess", "--breaks", "30", "--pressure", "-20", "--distance", "3")
+        lines, payload = self.both(capsys, *argv)
+        risk = payload["risk"]
+        assert lines == [
+            f"risk ({{P}}, {{P,NP}}, {{NP}}): "
+            f"({risk['P']:.3f}, {risk['P,NP']:.3f}, {risk['NP']:.3f})",
+            f"verdict: {payload['verdict']}",
+        ]
+
+    def test_batch_text_shows_the_json_values(self, capsys, tmp_path):
+        model = write_json(tmp_path, "m.json", CONFLICTED_MODEL)
+        rows = [
+            {"id": "clash", "breaks": 10, "pressure": 0, "distance": 3},
+            {"id": "blank", "breaks": 200, "pressure": 200, "distance": 200},
+            {"id": "malformed", "breaks": 10, "pressure": "high", "distance": 3},
+            {"id": "partial", "breaks": 50, "pressure": 150, "distance": 0.5},
+        ]
+        path = write_json(tmp_path, "s.json", rows)
+        lines, payload = self.both(capsys, "batch", path, "--model", model)
+        assert [entry["id"] for entry in payload] == [row["id"] for row in rows]
+        assert "total conflict" in payload[0]["error"] and "error" in payload[2]
+        assert len(lines) == len(payload) + 1
+        for line, entry in zip(lines[1:], payload):
+            if "error" in entry:
+                assert line.lstrip() == f"{entry['id']}  error: {entry['error']}"
+                continue
+            risk = entry["risk"]
+            assert line.split() == [
+                entry["id"],
+                f"{entry['breaks']:g}",
+                f"{entry['pressure']:g}",
+                f"{entry['distance']:g}",
+                f"{risk['P']:.3f}",
+                f"{risk['P,NP']:.3f}",
+                f"{risk['NP']:.3f}",
+                entry["verdict"],
+            ]
+
+    def test_batch_text_table(self, capsys, mixed_batch_file):
+        code, out, _ = run(capsys, "batch", mixed_batch_file)
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "                  id  breaks  pressure  distance      P   P,NP     NP  verdict",
+            "                  s1      10         0         3  0.442  0.067  0.491       NP",
+            "a-much-longer-row-id  error: scenarios[1]: distance: expected a number, got None",
+            "                  s6      30       -20         3  0.986  0.014  0.000        P",
+            "                  s7    12.5      0.25      1500  0.000  0.497  0.503       NP",
+        ]
 
 
 class TestRoundTrip:

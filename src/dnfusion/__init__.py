@@ -26,7 +26,6 @@ from .intrusion import (
     default_model,
     evidence_to_dnumber,
 )
-from .scales import five_level_scale
 
 __version__ = "0.1.0"
 
@@ -64,6 +63,5 @@ __all__ = [
     "assess_risk",
     "default_model",
     "evidence_to_dnumber",
-    "five_level_scale",
     "__version__",
 ]

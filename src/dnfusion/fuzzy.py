@@ -77,10 +77,6 @@ def _crossing(
 
 
 def _grid(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> list[float]:
-    # the union area is at most this span; past float range, fsum would overflow
-    span = max(t1.d, t2.d) - min(t1.a, t2.a)
-    if not math.isfinite(span):
-        raise ValueError(f"joint support of {t1} and {t2} overflows")
     # Breakpoints are exact inputs and all stay on the grid, so a narrow but
     # genuine support never collapses however far away the other shape lies.
     # A computed crossing that rounds next to a breakpoint only adds a sliver
@@ -127,10 +123,21 @@ def _envelope_areas(
 def non_exclusive_degree(t1: TrapezoidalFuzzyNumber, t2: TrapezoidalFuzzyNumber) -> float:
     """Intersection area over union area, a value in [0, 1].
 
-    When both shapes are crisp points the ratio is taken in the limit: 1.0 if
-    the points coincide, 0.0 otherwise. A zero union outside that convention
-    raises UndefinedDegree, which valid trapezoids cannot trigger.
+    Supports that are disjoint or only touch share no area, so the degree is
+    0.0. When both shapes are crisp points the ratio is taken in the limit: 1.0
+    if the points coincide, 0.0 otherwise. A zero union outside that convention
+    raises UndefinedDegree, which happens only when the envelope areas
+    underflow to zero at subnormal breakpoints.
     """
+    # The union area is at most this span; past float range, fsum would
+    # overflow. It is checked before the exit, so a pair that only touches
+    # cannot hide an overflowing span.
+    hi = t1.d if t1.d > t2.d else t2.d
+    lo = t1.a if t1.a < t2.a else t2.a
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"joint support of {t1} and {t2} overflows")
+    if (t1.d <= t2.a or t2.d <= t1.a) and (t1.a < t1.d or t2.a < t2.d):
+        return 0.0
     s, u = _envelope_areas(t1, t2)
     if u <= 0.0:
         if t1.area() == 0.0 and t2.area() == 0.0:

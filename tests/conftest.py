@@ -1,11 +1,24 @@
 import pytest
 
-from dnfusion import DNumber, Frame, five_level_scale
+from dnfusion import DNumber, Frame, Granulation, TrapezoidalFuzzyNumber
 
 
 @pytest.fixture(scope="session")
 def scale():
-    return five_level_scale()
+    """Five-level linguistic scale on a [0, 1] assessment axis.
+
+    Adjacent levels overlap slightly, so the granules are not mutually
+    exclusive and the scale has a small positive exclusive coefficient.
+    """
+    return Granulation(
+        (
+            ("low", TrapezoidalFuzzyNumber(0.04, 0.10, 0.18, 0.23)),
+            ("fairly low", TrapezoidalFuzzyNumber(0.17, 0.22, 0.36, 0.42)),
+            ("medium", TrapezoidalFuzzyNumber(0.32, 0.41, 0.58, 0.65)),
+            ("fairly high", TrapezoidalFuzzyNumber(0.58, 0.63, 0.80, 0.86)),
+            ("high", TrapezoidalFuzzyNumber(0.72, 0.78, 0.92, 0.97)),
+        )
+    )
 
 
 @pytest.fixture(scope="session")

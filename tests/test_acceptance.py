@@ -22,7 +22,6 @@ from dnfusion import (
     relative_matrix,
 )
 from dnfusion.fuzzy import _envelope_areas
-from dnfusion.scales import five_level_scale
 
 from generators import (
     random_complete_dnumber,
@@ -63,14 +62,14 @@ def reported(capsys, number, title):
         print(f"criterion {number} ({title}): PASS")
 
 
-def scale_epsilon():
-    return exclusive_coefficient(relative_matrix(five_level_scale()))
+def scale_epsilon(scale):
+    return exclusive_coefficient(relative_matrix(scale))
 
 
-def test_criterion_1_relative_matrix(capsys):
+def test_criterion_1_relative_matrix(capsys, scale):
     with reported(capsys, 1, "relative matrix"):
         start = time.perf_counter()
-        matrix = relative_matrix(five_level_scale())
+        matrix = relative_matrix(scale)
         elapsed = time.perf_counter() - start
         expected_nonzero = {
             (0, 1): 0.0577,
@@ -90,14 +89,14 @@ def test_criterion_1_relative_matrix(capsys):
         assert elapsed < 1.0
 
 
-def test_criterion_2_exclusive_coefficient(capsys):
+def test_criterion_2_exclusive_coefficient(capsys, scale):
     with reported(capsys, 2, "exclusive coefficient"):
-        assert scale_epsilon() == pytest.approx(0.042, abs=5e-4)
+        assert scale_epsilon(scale) == pytest.approx(0.042, abs=5e-4)
 
 
-def test_criterion_3_discounting(capsys):
+def test_criterion_3_discounting(capsys, scale):
     with reported(capsys, 3, "discounting"):
-        epsilon = scale_epsilon()
+        epsilon = scale_epsilon(scale)
         d1 = DNumber(SCORE_FRAME, EXPERT_ONE).discount(epsilon)
         d2 = DNumber(SCORE_FRAME, EXPERT_TWO).discount(epsilon)
         theta = SCORE_FRAME.theta
@@ -127,9 +126,9 @@ def test_criterion_3_discounting(capsys):
             assert d2.masses[focal] == pytest.approx(value, abs=1e-3)
 
 
-def test_criterion_4_fusion(capsys):
+def test_criterion_4_fusion(capsys, scale):
     with reported(capsys, 4, "two-expert fusion"):
-        epsilon = scale_epsilon()
+        epsilon = scale_epsilon(scale)
         start = time.perf_counter()
         fused = DNumber(SCORE_FRAME, EXPERT_ONE).discount(epsilon).combine(
             DNumber(SCORE_FRAME, EXPERT_TWO).discount(epsilon)

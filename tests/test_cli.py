@@ -193,6 +193,28 @@ class TestEpsilon:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_underflowing_areas_are_an_input_error(self, capsys, tmp_path):
+        # every envelope midpoint rounds onto a breakpoint where both read 0
+        shape = [5e-324, 1e-323, 1e-323, 1.5e-323]
+        granules = [{"label": "x", "shape": shape}, {"label": "y", "shape": shape}]
+        path = write_json(tmp_path, "g.json", {"granules": granules})
+        code, out, err = run(capsys, "epsilon", path)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_disjoint_subnormal_granules_give_zero(self, capsys, tmp_path):
+        granules = [
+            {"label": "x", "shape": [2e-323, 2.5e-323, 2.5e-323, 2.5e-323]},
+            {"label": "y", "shape": [5e-324, 1e-323, 1e-323, 1.5e-323]},
+        ]
+        path = write_json(tmp_path, "g.json", {"granules": granules})
+        code, out, _ = run(capsys, "epsilon", path, "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["matrix"][0][1] == payload["matrix"][1][0] == 0.0
+        assert payload["epsilon"] == 0.0
+
     def test_deeply_nested_label_gives_a_short_error(self, capsys, tmp_path):
         nested = [[]]
         for _ in range(500):

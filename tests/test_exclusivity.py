@@ -10,6 +10,7 @@ from dnfusion import (
     TooFewGranules,
     TrapezoidalFuzzyNumber,
     exclusive_coefficient,
+    exclusivity,
     relative_matrix,
 )
 
@@ -75,6 +76,29 @@ class TestRelativeMatrix:
         for i in range(len(m.labels)):
             for j in range(len(m.labels)):
                 assert m.values[i][j] == m.values[j][i]
+
+    def test_disjoint_granules_read_no_membership(self, monkeypatch):
+        # granule i spans [3i, 3i + 2 + i % 2]: odd ones touch the next granule
+        n = 30
+        shapes = (T(3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 2 + i % 2) for i in range(n))
+        g = Granulation(tuple((f"g{i}", shape) for i, shape in enumerate(shapes)))
+        calls = {"degree": 0, "membership": 0}
+
+        def counted_degree(t1, t2):
+            calls["degree"] += 1
+            return degree(t1, t2)
+
+        def counted_membership(self, x):
+            calls["membership"] += 1
+            return membership(self, x)
+
+        degree = exclusivity.non_exclusive_degree
+        membership = TrapezoidalFuzzyNumber.membership
+        monkeypatch.setattr(exclusivity, "non_exclusive_degree", counted_degree)
+        monkeypatch.setattr(TrapezoidalFuzzyNumber, "membership", counted_membership)
+        m = relative_matrix(g)
+        assert calls == {"degree": n * (n - 1) // 2, "membership": 0}
+        assert exclusive_coefficient(m) == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matrix"):

@@ -1,5 +1,7 @@
 """Trapezoidal membership, areas, and the non-exclusive degree."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,36 @@ class TestNonExclusiveDegree:
         seven = TrapezoidalFuzzyNumber(7.0, 7.0, 7.0, 7.0)
         assert non_exclusive_degree(five, five_again) == 1.0
         assert non_exclusive_degree(five, seven) == 0.0
+
+    def test_touching_supports_are_exactly_zero(self):
+        left = TrapezoidalFuzzyNumber(0.0, 0.1, 0.2, 0.3)
+        right = TrapezoidalFuzzyNumber(0.3, 0.4, 0.5, 0.6)
+        assert non_exclusive_degree(left, right) == 0.0
+        assert non_exclusive_degree(right, left) == 0.0
+
+    def test_crisp_point_at_a_support_end_is_zero(self):
+        for x in (LOW.a, LOW.d):
+            crisp = TrapezoidalFuzzyNumber(x, x, x, x)
+            assert non_exclusive_degree(crisp, LOW) == 0.0
+            assert non_exclusive_degree(LOW, crisp) == 0.0
+
+    def test_crisp_point_touching_a_rectangle_is_zero(self):
+        # both memberships are 1 at the shared point, which has no width
+        crisp = TrapezoidalFuzzyNumber(2.0, 2.0, 2.0, 2.0)
+        below = TrapezoidalFuzzyNumber(1.0, 1.0, 2.0, 2.0)
+        above = TrapezoidalFuzzyNumber(2.0, 2.0, 3.0, 3.0)
+        for rectangle in (below, above):
+            assert non_exclusive_degree(crisp, rectangle) == 0.0
+            assert non_exclusive_degree(rectangle, crisp) == 0.0
+
+    def test_flat_sides_touching_next_to_a_one_ulp_interval_are_zero(self):
+        # the midpoint of [2, 2 + ulp] rounds onto 2, where both flat sides
+        # read 1, so the envelope sum finds an intersection of one ulp
+        left = TrapezoidalFuzzyNumber(0.0, 1.0, 2.0, 2.0)
+        right = TrapezoidalFuzzyNumber(2.0, 2.0, math.nextafter(2.0, 3.0), 4.0)
+        assert _envelope_areas(left, right)[0] > 0.0
+        assert non_exclusive_degree(left, right) == 0.0
+        assert non_exclusive_degree(right, left) == 0.0
 
     def test_crisp_inside_trapezoid_is_zero(self):
         crisp = TrapezoidalFuzzyNumber(0.14, 0.14, 0.14, 0.14)

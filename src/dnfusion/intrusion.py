@@ -42,6 +42,7 @@ NOT_POSSIBLE = INTRUSION_FRAME.focal("NP")
 UNKNOWN = INTRUSION_FRAME.theta
 
 _ALLOWED_FOCALS = (POSSIBLE, UNKNOWN, NOT_POSSIBLE)
+_FOCAL_MASKS = {focal: INTRUSION_FRAME._mask(focal) for focal in _ALLOWED_FOCALS}
 
 BODY_NAMES = ("pathway", "pressure", "source")
 
@@ -116,10 +117,11 @@ class EvidenceBody:
         A configured epsilon that disagrees with the derived coefficient by more
         than EPSILON_MISMATCH_TOL triggers an EpsilonMismatchWarning but is kept.
         """
-        curves = tuple(curves)
+        # check every field under a stand-in epsilon before reading curves; derived is in [0, 1]
+        body = cls(name, unit, curves, 0.0 if epsilon is None else epsilon)
         derived = None
-        if len(curves) >= 2:
-            granulation = Granulation(tuple((c.label, c.shape) for c in curves))
+        if len(body.curves) >= 2:
+            granulation = Granulation(tuple((c.label, c.shape) for c in body.curves))
             derived = exclusive_coefficient(relative_matrix(granulation))
         if epsilon is None:
             if derived is None:
@@ -127,9 +129,8 @@ class EvidenceBody:
                     f"body {name!r}: cannot derive epsilon from a single curve; "
                     "configure it explicitly"
                 )
-            return cls(name, unit, curves, derived)
-        body = cls(name, unit, curves, epsilon)
-        if derived is not None and abs(body.epsilon - derived) > EPSILON_MISMATCH_TOL:
+            object.__setattr__(body, "epsilon", derived)
+        elif derived is not None and abs(body.epsilon - derived) > EPSILON_MISMATCH_TOL:
             warnings.warn(
                 f"body {name!r}: configured epsilon {body.epsilon:.4f} differs from the "
                 f"curve-derived value {derived:.4f} by more than {EPSILON_MISMATCH_TOL}",
@@ -203,16 +204,16 @@ def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:
     result is total ignorance.
     """
     value = _as_finite(value, "value")
-    weights: dict[FocalElement, float] = {}
+    weights: dict[int, float] = {}
     for curve in body.curves:
         mu = curve.shape.membership(value)
         if mu > 0.0:
-            weights[curve.focal] = weights.get(curve.focal, 0.0) + mu
+            mask = _FOCAL_MASKS[curve.focal]
+            weights[mask] = weights.get(mask, 0.0) + mu
     total = math.fsum(weights.values())
     if total <= 0.0:
         return DNumber.vacuous(INTRUSION_FRAME)
-    mask = INTRUSION_FRAME._mask
-    return DNumber._of(INTRUSION_FRAME, {mask(focal): mu / total for focal, mu in weights.items()})
+    return DNumber._of(INTRUSION_FRAME, {mask: mu / total for mask, mu in weights.items()})
 
 
 def assess_risk(scenario: Scenario, model: IntrusionModel) -> RiskTriple:
@@ -222,12 +223,11 @@ def assess_risk(scenario: Scenario, model: IntrusionModel) -> RiskTriple:
         evidence_to_dnumber(body, value).discount(body.epsilon)
         for body, value in zip(model.bodies, values)
     ]
-    fused = combine_all(discounted)
-    masses = fused.masses
+    masses = combine_all(discounted)._masses
     return RiskTriple(
-        p=masses.get(POSSIBLE, 0.0),
-        p_np=masses.get(UNKNOWN, 0.0),
-        np=masses.get(NOT_POSSIBLE, 0.0),
+        p=masses.get(_FOCAL_MASKS[POSSIBLE], 0.0),
+        p_np=masses.get(_FOCAL_MASKS[UNKNOWN], 0.0),
+        np=masses.get(_FOCAL_MASKS[NOT_POSSIBLE], 0.0),
     )
 
 

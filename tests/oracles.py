@@ -90,21 +90,21 @@ def rational_combine(d1: DNumber, d2: DNumber) -> dict | None:
     """Pairwise-product combination in exact rational arithmetic.
 
     Returns the normalized mass map as Fractions, or None on total conflict,
-    which ``DNumber.combine`` documents as surviving mass <= MASS_FLOOR.
+    which ``DNumber.combine`` documents as surviving mass <= MASS_FLOOR. The
+    surviving mass is the sum of the non-conflicting products, not 1 minus
+    the conflict: float inputs sum to 1 only within rounding, and under high
+    conflict ``1 - conflict`` would magnify that rounding.
     """
     products: dict = {}
-    conflict = Fraction(0)
     for left, left_mass in d1.masses.items():
         for right, right_mass in d2.masses.items():
-            product = Fraction(left_mass) * Fraction(right_mass)
             # the meet of two label sets, kept in the left operand's frame order
             common = tuple(label for label in left.labels if label in right.labels)
             if common:
                 meet = FocalElement(common)
+                product = Fraction(left_mass) * Fraction(right_mass)
                 products[meet] = products.get(meet, Fraction(0)) + product
-            else:
-                conflict += product
-    remaining = 1 - conflict
-    if remaining <= TOTAL_CONFLICT_THRESHOLD:
+    surviving = sum(products.values(), Fraction(0))
+    if surviving <= TOTAL_CONFLICT_THRESHOLD:
         return None
-    return {focal: mass / remaining for focal, mass in products.items()}
+    return {focal: mass / surviving for focal, mass in products.items()}

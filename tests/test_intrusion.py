@@ -1,6 +1,8 @@
 """Evidence bodies, the bundled model, and scenario risk assessment."""
 
+import json
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from dnfusion import (
     EpsilonMismatchWarning,
     EvidenceBody,
     FocalElement,
+    Frame,
     Granulation,
     IntrusionModel,
     RiskTriple,
@@ -20,6 +23,7 @@ from dnfusion import (
     default_model,
     evidence_to_dnumber,
     exclusive_coefficient,
+    load_model,
     relative_matrix,
 )
 from dnfusion.intrusion import INTRUSION_FRAME, NOT_POSSIBLE, POSSIBLE, UNKNOWN, Curve
@@ -95,6 +99,12 @@ class TestEvidenceBody:
     def test_configured_epsilon_far_from_derived_warns(self):
         with pytest.warns(EpsilonMismatchWarning, match="differs"):
             build_body(epsilon=0.5)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_build_rejects_a_non_curve_naming_the_body(self, epsilon):
+        curves = (Curve("calm", NOT_POSSIBLE, T(0.0, 0.0, 10.0, 20.0)), "junk")
+        with pytest.raises(ValueError, match="body 'pathway': curves must be Curve instances"):
+            build_body(curves=curves, epsilon=epsilon)
 
     def test_configured_epsilon_close_to_derived_is_silent(self):
         with warnings.catch_warnings():
@@ -257,3 +267,62 @@ class TestAssessRisk:
         )
         with pytest.raises(TotalConflict):
             assess_risk(Scenario(10.0, 0.0, 3.0), conflicted)
+
+
+class TestRowPath:
+    """assess_risk reads and writes masses by frame bitmask, never by FocalElement."""
+
+    @staticmethod
+    def model_file(tmp_path, model):
+        # focal labels listed in reverse, so the loader's canonical order is exercised
+        doc = {
+            "bodies": [
+                {
+                    "name": body.name,
+                    "unit": body.unit,
+                    "epsilon": body.epsilon,
+                    "curves": [
+                        {
+                            "label": curve.label,
+                            "focal": list(reversed(curve.focal.labels)),
+                            "shape": [curve.shape.a, curve.shape.b, curve.shape.c, curve.shape.d],
+                        }
+                        for curve in body.curves
+                    ],
+                }
+                for body in model.bodies
+            ]
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_builds_no_display_objects(self, tmp_path, monkeypatch):
+        default = default_model()
+        models = (default, load_model(self.model_file(tmp_path, default)))
+        scenarios = [
+            Scenario(breaks, pressure, distance)
+            for breaks in (10.0, 20.0, 35.0, 100.0)
+            for pressure in (-20.0, 0.0, 20.0, 60.0)
+            for distance in (3.0, 10.0, 20.0, 35.0)
+        ]
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(Frame, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in ("_mask", "_element"):
+            monkeypatch.setattr(Frame, name, counted(name))
+        triples = [assess_risk(scenario, model) for model in models for scenario in scenarios]
+        assert (calls["_mask"], calls["_element"]) == (0, 0)
+        # the loaded model is the default one, so both give the same triples
+        assert triples[: len(scenarios)] == triples[len(scenarios) :]
+        # the counters are live: building one focal element counts once on each
+        INTRUSION_FRAME.focal("P")
+        assert (calls["_mask"], calls["_element"]) == (1, 1)

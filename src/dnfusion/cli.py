@@ -102,7 +102,10 @@ def cmd_epsilon(args: argparse.Namespace) -> int:
     matrix = relative_matrix(granulation)
     payload = {
         "labels": list(matrix.labels),
-        "matrix": [[round(v, 4) for v in row] for row in matrix.values],
+        # 0.0 (disjoint or touching pairs) and 1.0 (the diagonal) round to themselves
+        "matrix": [
+            [v if v == 0.0 or v == 1.0 else round(v, 4) for v in row] for row in matrix.values
+        ],
         "epsilon": round(exclusive_coefficient(matrix), 4),
     }
     _emit(payload, args.format, _epsilon_text)

@@ -97,7 +97,8 @@ class Frame:
 
     def _element(self, mask: int) -> FocalElement:
         """The focal element of a non-empty bitmask over this frame."""
-        return FocalElement(tuple(label for i, label in enumerate(self.labels) if mask >> i & 1))
+        labels = self.labels
+        return FocalElement(tuple([labels[i] for i in range(mask.bit_length()) if mask >> i & 1]))
 
 
 def _positions(mask: int) -> list[int]:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnfusion import TrapezoidalFuzzyNumber, cli, non_exclusive_degree
+from dnfusion import (
+    DnfusionError,
+    Granulation,
+    TrapezoidalFuzzyNumber,
+    cli,
+    non_exclusive_degree,
+    relative_matrix,
+)
 from dnfusion.cli import EXIT_CONFLICT, EXIT_INPUT, EXIT_OK
 from dnfusion.intrusion import BODY_NAMES, RiskTriple
 
@@ -125,7 +132,60 @@ MISMATCHED_MODEL = {
 }
 
 
+def granulation_doc(shapes):
+    return {"granules": [{"label": f"g{i}", "shape": list(s)} for i, s in enumerate(shapes)]}
+
+
+def degrees_of(shapes):
+    granules = tuple((f"g{i}", TrapezoidalFuzzyNumber(*s)) for i, s in enumerate(shapes))
+    return relative_matrix(Granulation(granules)).values
+
+
+def assert_epsilon_rounds_each_degree(path, shapes):
+    """Both formats of ``epsilon`` show every degree rounded to 4 places."""
+    try:
+        degrees = degrees_of(shapes)
+    except DnfusionError:
+        assert call(["epsilon", path])[0] == EXIT_INPUT
+        return
+    expected = [[round(v, 4) for v in row] for row in degrees]
+    code, out, _ = call(["epsilon", path, "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["matrix"] == expected
+    code, out, _ = call(["epsilon", path])
+    assert code == EXIT_OK
+    rows = [line.split()[1:] for line in out.splitlines()[1:-1]]
+    assert rows == [[f"{v:.4f}" for v in row] for row in expected]
+
+
+# on a small integer grid, crisp points coincide often and sorted draws touch and nest
+grid_coords = st.integers(0, 12).map(float) | st.floats(0.0, 12.0)
+crisp_points = st.integers(0, 12).map(lambda x: [float(x)] * 4)
+granule_shapes = crisp_points | st.lists(grid_coords, min_size=4, max_size=4).map(sorted)
+
+
 class TestEpsilon:
+    def test_matrix_is_each_degree_rounded(self, tmp_path):
+        shapes = [
+            (0, 1, 2, 3),
+            (3, 4, 5, 6),  # touches the first
+            (4, 4.5, 5, 5.5),  # nested in the second
+            (5, 6, 8, 9),  # overlaps the second and third
+            (8.999, 10, 11, 12),  # overlaps the fourth by a sliver that rounds to 0
+            (20, 20, 20, 20),
+            (20, 20, 20, 20),  # a crisp point coinciding with the one before
+        ]
+        degrees = {v for row in degrees_of(shapes) for v in row}
+        assert {0.0, 1.0} < degrees and any(0.0 < v < 5e-5 for v in degrees)
+        path = write_json(tmp_path, "g.json", granulation_doc(shapes))
+        assert_epsilon_rounds_each_degree(path, shapes)
+
+    @given(shapes=st.lists(granule_shapes, min_size=2, max_size=6))
+    @settings(deadline=None)
+    def test_any_matrix_is_each_degree_rounded(self, doc_path, shapes):
+        doc_path.write_text(json.dumps(granulation_doc(shapes)), encoding="utf-8")
+        assert_epsilon_rounds_each_degree(str(doc_path), shapes)
+
     def test_json_matrix_and_coefficient(self, capsys, scale_file):
         code, out, _ = run(capsys, "epsilon", scale_file, "--format", "json")
         assert code == EXIT_OK

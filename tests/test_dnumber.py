@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dnfusion import (
     DNumber,
@@ -313,6 +315,47 @@ class TestCombineAll:
             dnumbers.append(d.normalize_incomplete().discount(0.05))
         fused = combine_all(dnumbers)
         assert abs(fused.completeness() - 1.0) <= 1e-12
+
+
+# lexical order differs from frame order, so a sort by label would show
+LABEL_POOL = ("m", "b", "k", "a", "zz", "c", "q", "e", "y", "d", "x", "f")
+
+
+@st.composite
+def masks_on_a_frame(draw):
+    """A frame of up to 12 labels and distinct non-empty masks over it."""
+    n = draw(st.integers(1, len(LABEL_POOL)))
+    frame = Frame(draw(st.permutations(LABEL_POOL))[:n])
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40, unique=True))
+    return frame, masks
+
+
+class TestMassesView:
+    def test_display_order_on_three_labels(self):
+        frame = Frame(("a", "b", "c"))
+        d = DNumber(frame, {("b",): 0.1, ("c", "a"): 0.2, ("b", "a"): 0.3, ("a",): 0.4})
+        assert [focal.labels for focal in d.masses] == [("a",), ("a", "b"), ("a", "c"), ("b",)]
+        assert list(d.masses.values()) == [0.4, 0.3, 0.2, 0.1]
+
+    @given(case=masks_on_a_frame())
+    def test_keys_are_canonical_and_sorted_by_frame_positions(self, case):
+        frame, masks = case
+        # the labels of each mask in frame order, worked out without the frame
+        members = {
+            mask: tuple(label for i, label in enumerate(frame.labels) if mask >> i & 1)
+            for mask in masks
+        }
+        total = len(masks) * (len(masks) + 1) / 2
+        masses = {mask: (k + 1) / total for k, mask in enumerate(masks)}
+        d = DNumber(frame, {members[mask][::-1]: mass for mask, mass in masses.items()})
+        view = d.masses
+        assert len(view) == len(masks)
+        for mask, labels in members.items():
+            key = frame.focal(labels)
+            assert key.labels == labels
+            assert view[key] == masses[mask]
+        positions = [[frame.labels.index(label) for label in key.labels] for key in view]
+        assert positions == sorted(positions)
 
 
 class TestRandomizedAgainstOracle:

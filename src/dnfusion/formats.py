@@ -3,8 +3,8 @@
 Every loader raises :class:`ValidationError` with a message that names the
 offending entry (file, index, label) so the CLI can surface it verbatim.
 Loaders check only the structure of a document; the constructors check the
-values, and their ValueError comes back naming the entry. Row-level problems in a scenario file become inline errors instead of failing
-the whole file.
+values, and their ValueError comes back naming the entry. Row-level problems
+in a scenario file become inline errors instead of failing the whole file.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ def _as_string(value: object, where: str) -> str:
     return value
 
 
+def _as_labels(value: object, where: str) -> list[str]:
+    return [_as_string(v, f"{where}[{i}]") for i, v in enumerate(_as_array(value, where))]
+
+
 def _as_shape(value: object, where: str) -> TrapezoidalFuzzyNumber:
     arr = _as_array(value, where)
     if len(arr) != 4:
@@ -112,10 +116,7 @@ def load_dnumbers(path: str | Path) -> list[DNumber]:
     for i, entry in enumerate(raw):
         where = f"{path}: [{i}]"
         obj = _as_object(entry, where)
-        labels = [
-            _as_string(v, f"{where}.frame[{j}]")
-            for j, v in enumerate(_as_array(obj.get("frame"), f"{where}.frame"))
-        ]
+        labels = _as_labels(obj.get("frame"), f"{where}.frame")
         try:
             this_frame = Frame(tuple(labels))
         except ValueError as exc:
@@ -130,10 +131,7 @@ def load_dnumbers(path: str | Path) -> list[DNumber]:
         for j, m in enumerate(_as_array(obj.get("masses"), f"{where}.masses")):
             mwhere = f"{where}.masses[{j}]"
             mobj = _as_object(m, mwhere)
-            focal_labels = [
-                _as_string(v, f"{mwhere}.focal[{k}]")
-                for k, v in enumerate(_as_array(mobj.get("focal"), f"{mwhere}.focal"))
-            ]
+            focal_labels = _as_labels(mobj.get("focal"), f"{mwhere}.focal")
             try:
                 focal = this_frame.focal(focal_labels)
             except ValueError as exc:
@@ -168,10 +166,7 @@ def load_model(path: str | Path) -> IntrusionModel:
         for j, c in enumerate(_as_array(obj.get("curves"), f"{where}.curves")):
             cwhere = f"{where}.curves[{j}]"
             cobj = _as_object(c, cwhere)
-            focal_labels = [
-                _as_string(v, f"{cwhere}.focal[{k}]")
-                for k, v in enumerate(_as_array(cobj.get("focal"), f"{cwhere}.focal"))
-            ]
+            focal_labels = _as_labels(cobj.get("focal"), f"{cwhere}.focal")
             raw_label = cobj.get("label")
             if raw_label is None:
                 label = ",".join(focal_labels)

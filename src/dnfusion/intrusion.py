@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dnumber import COMPLETENESS_TOL, DNumber, FocalElement, Frame, combine_all
+from .dnumber import DNumber, FocalElement, Frame, combine_all
 from .errors import TooFewGranules, _as_finite
 from .exclusivity import Granulation, exclusive_coefficient, relative_matrix
 from .fuzzy import TrapezoidalFuzzyNumber
@@ -41,8 +41,7 @@ POSSIBLE = INTRUSION_FRAME.focal("P")
 NOT_POSSIBLE = INTRUSION_FRAME.focal("NP")
 UNKNOWN = INTRUSION_FRAME.theta
 
-_ALLOWED_FOCALS = (POSSIBLE, UNKNOWN, NOT_POSSIBLE)
-_FOCAL_MASKS = {focal: INTRUSION_FRAME._mask(focal) for focal in _ALLOWED_FOCALS}
+_FOCAL_MASKS = {focal: INTRUSION_FRAME._mask(focal) for focal in (POSSIBLE, UNKNOWN, NOT_POSSIBLE)}
 
 BODY_NAMES = ("pathway", "pressure", "source")
 
@@ -65,7 +64,8 @@ class Curve:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"curve label must be a non-empty string, got {self.label!r}")
-        if self.focal not in _ALLOWED_FOCALS:
+        # a tuple compares by equality, so an unhashable focal is rejected too
+        if self.focal not in tuple(_FOCAL_MASKS):
             raise ValueError(
                 f"curve {self.label!r}: focal must be one of "
                 "{P}, {P, NP}, {NP}, got " + str(self.focal)
@@ -179,21 +179,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RiskTriple:
-    """Fused masses on {P}, {P, NP}, {NP}; the three sum to 1."""
+    """Fused masses on {P}, {P, NP}, {NP}, as built by :func:`assess_risk`.
+
+    The record checks nothing: the masses come from a normalised combination.
+    """
 
     p: float
     p_np: float
     np: float
-
-    def __post_init__(self) -> None:
-        for name in ("p", "p_np", "np"):
-            value = _as_finite(getattr(self, name), name)
-            if not -COMPLETENESS_TOL <= value <= 1.0 + COMPLETENESS_TOL:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
-        total = self.p + self.p_np + self.np
-        if abs(total - 1.0) > COMPLETENESS_TOL:
-            raise ValueError(f"risk masses must sum to 1, got {total!r}")
 
 
 def evidence_to_dnumber(body: EvidenceBody, value: float) -> DNumber:

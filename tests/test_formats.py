@@ -194,6 +194,24 @@ class TestLoadDNumbers:
         with pytest.raises(ValidationError, match=r"masses\[0\]\.focal"):
             load_dnumbers(path)
 
+    def test_bad_frame_label_names_its_index(self, tmp_path):
+        path = write(tmp_path, "d.json", [{"frame": ["a", 3], "masses": []}])
+        with pytest.raises(ValidationError) as excinfo:
+            load_dnumbers(path)
+        assert str(excinfo.value) == f"{path}: [0].frame[1]: expected a non-empty string, got 3"
+
+    def test_bad_focal_label_names_its_index(self, tmp_path):
+        path = write(
+            tmp_path,
+            "d.json",
+            [{"frame": ["a", "b"], "masses": [{"focal": ["a", ""], "value": 1.0}]}],
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            load_dnumbers(path)
+        assert str(excinfo.value) == (
+            f"{path}: [0].masses[0].focal[1]: expected a non-empty string, got ''"
+        )
+
     def test_negative_mass(self, tmp_path):
         path = write(
             tmp_path,
@@ -283,6 +301,16 @@ class TestLoadModel:
         doc["bodies"][0]["curves"][0]["focal"] = ["Q"]
         with pytest.raises(ValidationError, match="'calm'"):
             load_model(write(tmp_path, "m.json", doc))
+
+    def test_bad_curve_focal_label_names_its_index(self, tmp_path):
+        doc = json.loads(json.dumps(MODEL_DOC))
+        doc["bodies"][0]["curves"][0]["focal"] = [None]
+        path = write(tmp_path, "m.json", doc)
+        with pytest.raises(ValidationError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == (
+            f"{path}: bodies[0].curves[0].focal[0]: expected a non-empty string, got None"
+        )
 
     def test_single_curve_without_epsilon(self, tmp_path):
         doc = json.loads(json.dumps(MODEL_DOC))

@@ -14,7 +14,6 @@ from dnfusion import (
     Frame,
     Granulation,
     IntrusionModel,
-    RiskTriple,
     Scenario,
     TooFewGranules,
     TotalConflict,
@@ -52,6 +51,11 @@ class TestCurve:
         bogus = FocalElement(("NP", "P"))  # not in canonical frame order
         with pytest.raises(ValueError, match="focal"):
             Curve("x", bogus, T(0, 1, 2, 3))
+
+    @pytest.mark.parametrize("focal", [["P"], {"P"}], ids=["list", "set"])
+    def test_rejects_an_unhashable_focal(self, focal):
+        with pytest.raises(ValueError, match="focal must be one of"):
+            Curve("x", focal, T(0, 1, 2, 3))
 
     def test_rejects_empty_label(self):
         with pytest.raises(ValueError, match="label"):
@@ -162,16 +166,6 @@ class TestScenario:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Scenario(float("inf"), 0.0, 3.0)
-
-
-class TestRiskTriple:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            RiskTriple(0.5, 0.1, 0.1)
-
-    def test_component_range(self):
-        with pytest.raises(ValueError, match="lie in"):
-            RiskTriple(1.4, -0.4, 0.0)
 
 
 class TestDefaultModel:

@@ -1,5 +1,5 @@
-"""Package surface: every exported name and every traced target resolves, and no
-module imports a name it never uses."""
+"""Package surface: every exported name and every traced target resolves, no
+module imports a name it never uses, and no private name goes unused."""
 
 import ast
 import importlib
@@ -42,6 +42,35 @@ def test_no_unused_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - _exported(tree)) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and constants, and methods, with private names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def test_no_unused_private_names():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")]
+    defined = {name for tree in trees for name in _private_definitions(tree) if _is_private(name)}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined  # the scan sees the package's private helpers
+    assert sorted(defined - used) == []
 
 
 def _traced_targets():

@@ -28,7 +28,7 @@ from dnfusion import (
     non_exclusive_degree,
     relative_matrix,
 )
-from dnfusion.dnumber import MASS_FLOOR
+from dnfusion.dnumber import COMPLETENESS_TOL, MASS_FLOOR
 from dnfusion.exclusivity import Granulation
 from dnfusion.fuzzy import _envelope_areas, _grid
 from dnfusion.intrusion import BODY_NAMES, NOT_POSSIBLE, POSSIBLE, UNKNOWN
@@ -331,6 +331,9 @@ class TestAssessRiskProperties:
             return
         focals = (POSSIBLE, UNKNOWN, NOT_POSSIBLE)
         triple = assess_risk(scenario, model)
+        # RiskTriple checks nothing, so the invariant its masses keep is pinned here
+        assert all(0.0 <= m <= 1.0 for m in (triple.p, triple.p_np, triple.np))
+        assert abs(triple.p + triple.p_np + triple.np - 1.0) <= COMPLETENESS_TOL
         assert triple == RiskTriple(*(masses.get(focal, 0.0) for focal in focals))
         # the first fold's exact masses feed the second, with no rounding between them
         first = rational_combine(discounted[0], discounted[1])
